@@ -156,30 +156,27 @@ def _split_winning_ties(instance, beta, useg, tol=1e-9):
     to budgets, matching the equilibrium identity u_i = B_i / beta_i for
     equal betas.  Returns a rebalanced copy (or the input when no ties).
     """
+    M = beta[:, None] * instance.c
+    Q = beta[:, None] * instance.d
+    order = np.lexsort((Q, M), axis=0)
+    at = np.arange(instance.num_segments)
+    ms, qs = M[order, at], Q[order, at]
+    close = (np.abs(np.diff(ms, axis=0)) <= tol * (1.0 + np.abs(ms[:-1]))) & (
+        np.abs(np.diff(qs, axis=0)) <= tol * (1.0 + np.abs(qs[:-1])))
     B = instance.budgets
     out = None
-    for k in range(instance.num_segments):
-        m = beta * instance.c[:, k]
-        q = beta * instance.d[:, k]
-        order = np.lexsort((q, m))
-        ms, qs = m[order], q[order]
-        close = (np.abs(np.diff(ms)) <= tol * (1.0 + np.abs(ms[:-1]))) & (
-            np.abs(np.diff(qs)) <= tol * (1.0 + np.abs(qs[:-1])))
-        if not close.any():
-            continue
-        start = 0
-        for stop in list(np.flatnonzero(~close) + 1) + [order.size]:
-            group = order[start:stop]
-            start = stop
+    for k in np.flatnonzero(close.any(axis=0)):
+        bounds = np.concatenate([[0], np.flatnonzero(~close[:, k]) + 1, [instance.n]])
+        for start, stop in zip(bounds[:-1], bounds[1:]):
+            group = order[start:stop, k]
             if group.size < 2:
                 continue
-            mass = useg[group, k].sum() if out is None else out[group, k].sum()
+            mass = useg[group, k].sum()
             if mass <= 0.0:
                 continue
             if out is None:
                 out = useg.copy()
-            share = B[group] / B[group].sum()
-            out[group, k] = mass * share
+            out[group, k] = mass * (B[group] / B[group].sum())
     return useg if out is None else out
 
 
@@ -189,26 +186,21 @@ def _envelope_hessian(instance, env, beta):
     segment, owners o -> o', contributes the rank-one block
     (v_o, -v_o')(v_o, -v_o')^T / D with D the scaled-slope difference at x.
     """
-    n = instance.n
-    H = np.zeros((n, n))
-    b = env.breakpoints
-    for j in range(env.num_pieces - 1):
-        if env.segments[j] != env.segments[j + 1]:
-            continue
-        o, o2 = int(env.owners[j]), int(env.owners[j + 1])
-        if o == o2:
-            continue
-        k = env.segments[j]
-        x = b[j + 1]
-        vo = instance.c[o, k] * x + instance.d[o, k]
-        vo2 = instance.c[o2, k] * x + instance.d[o2, k]
-        D = beta[o2] * instance.c[o2, k] - beta[o] * instance.c[o, k]
-        if D <= 1e-12:
-            continue
-        H[o, o] += vo * vo / D
-        H[o, o2] -= vo * vo2 / D
-        H[o2, o] -= vo * vo2 / D
-        H[o2, o2] += vo2 * vo2 / D
+    o, o2, k = env.owners[:-1], env.owners[1:], env.segments[:-1]
+    D = beta[o2] * instance.c[o2, k] - beta[o] * instance.c[o, k]
+    j = (k == env.segments[1:]) & (o != o2) & (D > 1e-12)
+    o, o2, k, D = o[j], o2[j], k[j], D[j]
+    x = env.breakpoints[1:-1][j]
+    vo = instance.c[o, k] * x + instance.d[o, k]
+    vo2 = instance.c[o2, k] * x + instance.d[o2, k]
+    cross = -(vo * vo2 / D)
+    # one row per crossing, entries in the order (o,o) (o,o2) (o2,o) (o2,o2),
+    # so every H entry sums its terms in crossing order
+    rows = np.stack([o, o, o2, o2], axis=1).ravel()
+    cols = np.stack([o, o2, o, o2], axis=1).ravel()
+    terms = np.stack([vo * vo / D, cross, cross, vo2 * vo2 / D], axis=1).ravel()
+    H = np.zeros((instance.n, instance.n))
+    np.add.at(H, (rows, cols), terms)
     return H
 
 
@@ -285,7 +277,8 @@ def allocation_from_beta(instance: MarketInstance, beta) -> EquilibriumResult:
     delta = net = None
     if instance.mode == QUASILINEAR:
         delta, ueg, net = quasilinear_postprocess(instance, beta, u)
-        primal = float(np.dot(instance.budgets, np.log(ueg)) - delta.sum())
+        with np.errstate(divide="ignore"):
+            primal = float(np.dot(instance.budgets, np.log(ueg)) - delta.sum())
         u = ueg
     else:
         with np.errstate(divide="ignore"):
@@ -414,7 +407,8 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
         delta = net = None
         if instance.mode == QUASILINEAR:
             delta, ueg, net = quasilinear_postprocess(instance, b, u_alloc)
-            primal = float(np.dot(B, np.log(ueg)) - delta.sum())
+            with np.errstate(divide="ignore"):
+                primal = float(np.dot(B, np.log(ueg)) - delta.sum())
             u_report = ueg
         else:
             with np.errstate(divide="ignore"):

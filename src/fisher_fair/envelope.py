@@ -2,11 +2,14 @@
 
 For a utility-price vector beta > 0 the price density is the pointwise upper
 envelope p(theta) = max_i beta_i * v_i(theta).  On each grid segment that is
-an envelope of n lines, computed by a left-to-right leader sweep: starting
-from the leader at the segment's left end, repeatedly find the nearest point
-where another line overtakes the current leader.  Each line can lead at most
-once per segment, and ties are resolved to the smallest buyer index so the
-winning sets are a deterministic selection from the subdifferential.
+an envelope of n lines.  One left-to-right leader sweep computes all K
+segment envelopes at once: every step advances each open segment from its
+current leader to the nearest point where a steeper line overtakes it.  Each
+line can lead at most once per segment, so the sweep takes as many steps as
+the busiest segment has leaders.  Ties go to the steepest line, then the
+smallest buyer index, so the winning sets are a deterministic selection from
+the subdifferential.  The same pieces give the (n, K) winning-utility matrix
+in one accumulation.
 
 The reduced dual is psi(beta) = integral(p) - sum_i B_i log beta_i; its
 subgradient has components (winning utility of buyer i) - B_i / beta_i.
@@ -74,43 +77,6 @@ class PiecewiseLinearFunction:
         return float(np.sum(length * (self.cs * mid + self.ds)))
 
 
-def _segment_envelope(m, q, lo, hi):
-    """Leader sweep for lines y = m*x + q on [lo, hi].
-
-    Returns (cuts, leaders): interior breakpoints and the leading line index
-    on each resulting piece (len(cuts) + 1 entries).  Ties at a point go to
-    the steepest line, then the smallest index, so the winner is the line
-    that dominates immediately to the right.
-    """
-    n = m.size
-    cuts = []
-    leaders = []
-    x = lo
-    vals = m * x + q
-    vmax = vals.max()
-    cand = vals >= vmax - _TIE_EPS * (1.0 + abs(vmax))
-    slopes = np.where(cand, m, -np.inf)
-    leader = int(np.argmax(slopes))
-    for _ in range(n + 1):
-        leaders.append(leader)
-        steeper = m > m[leader]
-        if not steeper.any():
-            break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            xc = (q[leader] - q) / (m - m[leader])
-        xc = np.where(steeper, xc, np.inf)
-        xc = np.where(xc > x + _TIE_EPS, xc, np.inf)
-        nxt = xc.min()
-        if nxt >= hi - _TIE_EPS:
-            break
-        at_next = xc <= nxt + _TIE_EPS * (1.0 + abs(nxt))
-        slopes = np.where(at_next, m, -np.inf)
-        leader = int(np.argmax(slopes))
-        cuts.append(nxt)
-        x = nxt
-    return cuts, leaders
-
-
 def beta_bounds(instance: MarketInstance):
     """Box containing the optimal beta: [B, 1] in linear mode and
     [B_i / (v_i(Theta) + B_i), 1] in quasilinear mode."""
@@ -123,27 +89,64 @@ def beta_bounds(instance: MarketInstance):
 
 
 def upper_envelope(instance: MarketInstance, beta) -> PiecewiseLinearFunction:
-    """Exact envelope p = max_i beta_i v_i with per-piece owners."""
+    """Exact envelope p = max_i beta_i v_i with per-piece owners.
+
+    One leader sweep advances every grid segment at once: each step finds,
+    for every segment still open, the nearest crossing x where a steeper
+    line overtakes the current leader and the line that leads right after
+    it.  Ties at a point go to the steepest line, then the smallest index,
+    so the winner is the line that dominates immediately to the right.  A
+    segment closes when no crossing lies before its right end; leader slopes
+    rise strictly, so the sweep takes at most n steps.
+    """
     beta = np.asarray(beta, dtype=float)
     if beta.shape != (instance.n,) or np.any(beta <= 0):
         raise DomainError("beta must be a positive vector, one entry per buyer")
     pts = instance.grid.points
-    bps = [0.0]
-    cs, ds, owners, segs = [], [], [], []
-    for k in range(instance.num_segments):
-        lo, hi = pts[k], pts[k + 1]
-        m = beta * instance.c[:, k]
-        q = beta * instance.d[:, k]
-        cuts, leads = _segment_envelope(m, q, lo, hi)
-        for j, owner in enumerate(leads):
-            cs.append(m[owner])
-            ds.append(q[owner])
-            owners.append(owner)
-            segs.append(k)
-            bps.append(cuts[j] if j < len(cuts) else hi)
+    M = beta[:, None] * instance.c
+    Q = beta[:, None] * instance.d
+    m, q = M, Q                       # columns of the segments still open
+    cols = np.arange(instance.num_segments)
+    idx = cols
+    x = pts[:-1]
+    stop = pts[1:] - _TIE_EPS
+    vals = m * x + q
+    vmax = vals.max(axis=0)
+    cand = vals >= vmax - _TIE_EPS * (1.0 + np.abs(vmax))
+    leader = np.where(cand, m, -np.inf).argmax(axis=0)
+    segs, owners, ends = [], [], []
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while cols.size:
+            dm = m - m[leader, idx]
+            xc = q[leader, idx] - q
+            xc /= dm
+            # only steeper lines cross, and only to the right of x
+            past = dm <= 0.0
+            past |= xc <= x + _TIE_EPS
+            xc[past] = np.inf
+            nxt = xc.min(axis=0)
+            at_next = xc <= nxt + _TIE_EPS * (1.0 + np.abs(nxt))
+            segs.append(cols)
+            owners.append(leader)
+            ends.append(nxt)
+            leader = np.where(at_next, m, -np.inf).argmax(axis=0)
+            x = nxt
+            done = nxt >= stop
+            if np.count_nonzero(done):
+                keep = ~done
+                cols, leader, x, stop = cols[keep], leader[keep], x[keep], stop[keep]
+                m, q = m[:, keep], q[:, keep]
+                idx = np.arange(cols.size)
+    segs = np.concatenate(segs)
+    order = np.argsort(segs, kind="stable")
+    segs = segs[order]
+    owners = np.concatenate(owners)[order]
+    ends = np.concatenate(ends)[order]
+    # a segment's last piece ends at the segment's right end
+    ends[np.append(segs[1:] != segs[:-1], True)] = pts[1:]
     return PiecewiseLinearFunction(
-        breakpoints=np.asarray(bps), cs=np.asarray(cs), ds=np.asarray(ds),
-        owners=np.asarray(owners, dtype=int), segments=np.asarray(segs, dtype=int))
+        breakpoints=np.concatenate([[0.0], ends]),
+        cs=M[owners, segs], ds=Q[owners, segs], owners=owners, segments=segs)
 
 
 def integral(f: PiecewiseLinearFunction) -> float:
@@ -173,20 +176,25 @@ def certify_envelope(instance: MarketInstance, beta,
     return True
 
 
+def _winning_matrix(instance: MarketInstance,
+                    env: PiecewiseLinearFunction) -> np.ndarray:
+    """(n, K) unscaled value of the envelope pieces, summed per (owner, segment).
+
+    Every piece has positive length: the sweep cuts only past its current
+    point and before the segment's end.
+    """
+    b = env.breakpoints
+    lo, hi = b[:-1], b[1:]
+    i, k = env.owners, env.segments
+    mid = 0.5 * (lo + hi)
+    w = (hi - lo) * (instance.c[i, k] * mid + instance.d[i, k])
+    n, K = instance.n, instance.num_segments
+    return np.bincount(i * K + k, weights=w, minlength=n * K).reshape(n, K)
+
+
 def winning_utility_matrix(instance: MarketInstance, beta) -> np.ndarray:
     """(n, K) matrix: buyer i's unscaled value over its winning set in segment k."""
-    env = upper_envelope(instance, beta)
-    U = np.zeros((instance.n, instance.num_segments))
-    b = env.breakpoints
-    for j in range(env.num_pieces):
-        lo, hi = b[j], b[j + 1]
-        if hi <= lo:
-            continue
-        i = env.owners[j]
-        k = env.segments[j]
-        mid = 0.5 * (lo + hi)
-        U[i, k] += (hi - lo) * (instance.c[i, k] * mid + instance.d[i, k])
-    return U
+    return _winning_matrix(instance, upper_envelope(instance, beta))
 
 
 def winning_utilities(instance: MarketInstance, beta) -> np.ndarray:
@@ -213,16 +221,7 @@ def dual_subgradient(instance: MarketInstance, beta):
     if np.any(beta <= 0):
         raise DomainError("dual subgradient requires beta > 0")
     env = upper_envelope(instance, beta)
-    U = np.zeros((instance.n, instance.num_segments))
-    b = env.breakpoints
-    for j in range(env.num_pieces):
-        lo, hi = b[j], b[j + 1]
-        if hi <= lo:
-            continue
-        i = env.owners[j]
-        k = env.segments[j]
-        mid = 0.5 * (lo + hi)
-        U[i, k] += (hi - lo) * (instance.c[i, k] * mid + instance.d[i, k])
+    U = _winning_matrix(instance, env)
     w = U.sum(axis=1)
     psi = env.integral() - float(np.dot(instance.budgets, np.log(beta)))
     g = w - instance.budgets / beta

@@ -198,20 +198,26 @@ class MarketInstance:
         seg = self.grid.locate(theta)
         return self.c[:, seg] * theta[None, :] + self.d[:, seg]
 
-    def buyer_value(self, i: int, iv: Interval) -> float:
-        """Exact utility of buyer i over an interval (may span several segments)."""
+    def interval_values(self, iv: Interval) -> np.ndarray:
+        """(n,) exact utility of every buyer over an interval (may span several
+        segments), summed segment by segment."""
+        total = np.zeros(self.n)
         if iv.length <= 0.0:
-            return 0.0
+            return total
         pts = self.grid.points
         k0 = int(self.grid.locate(iv.lo))
         k1 = int(self.grid.locate(np.nextafter(iv.hi, iv.lo)))
-        total = 0.0
         for k in range(k0, k1 + 1):
             lo = max(iv.lo, pts[k])
             hi = min(iv.hi, pts[k + 1])
             if hi > lo:
-                total += eval_interval(self.piece(i, k), Interval(lo, hi))
+                mid = 0.5 * (lo + hi)
+                total += (hi - lo) * (self.c[:, k] * mid + self.d[:, k])
         return total
+
+    def buyer_value(self, i: int, iv: Interval) -> float:
+        """Exact utility of buyer i over an interval (may span several segments)."""
+        return float(self.interval_values(iv)[i])
 
     def to_document(self) -> dict:
         """Shared-grid JSON document (already-normalized coefficients)."""

@@ -212,8 +212,7 @@ def fairness(instance: MarketInstance, allocation: PureAllocation,
         for iv in allocation.intervals[j]:
             if iv.length <= 0:
                 continue
-            for i in range(n):
-                vals[i, j] += instance.buyer_value(i, iv)
+            vals[:, j] += instance.interval_values(iv)
     u = np.diag(vals).copy()
     per_budget = vals / B[None, :]
     envy = per_budget - np.diag(per_budget)[:, None]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from fisher_fair import (
     solve,
 )
 from fisher_fair.dual_solver import duality_constant, quasilinear_postprocess
+from fisher_fair.sampling import sample_instance
 from fisher_fair.verification import discretized_oracle
 from tests.conftest import EX5_BETA, EX5_CUTS, EX5_U
 
@@ -164,3 +167,14 @@ def test_gap_matches_direct_recomputation(example6):
     z = float(np.dot(example6.budgets, np.log(res.u)))
     direct = dual_objective(example6, res.beta) - (z + duality_constant(example6))
     assert res.gap == pytest.approx(direct, abs=1e-12)
+
+
+def test_quasilinear_zero_utility_fails_without_warning():
+    # a buyer left with zero utility makes the primal log(0); the solve must
+    # report an infinite gap through NotConverged, not a RuntimeWarning
+    inst = sample_instance(80, 5, 1010, mode="quasilinear")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(NotConverged) as info:
+            solve(inst)
+    assert info.value.gap == np.inf

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fisher_fair import (
     DomainError,
@@ -10,8 +12,15 @@ from fisher_fair import (
     solve,
     upper_envelope,
     winning_utilities,
+    winning_utility_matrix,
 )
-from fisher_fair.envelope import PiecewiseLinearFunction, beta_bounds, plot_data
+from fisher_fair.envelope import (
+    PiecewiseLinearFunction,
+    beta_bounds,
+    certify_envelope,
+    plot_data,
+)
+from fisher_fair.sampling import sample_document
 from tests.conftest import EX5_BETA, EX5_CUTS, EX5_U
 
 
@@ -45,6 +54,16 @@ def test_envelope_identical_buyers_tie_to_smallest_index():
     inst = build_instance([0.5, 0.5], [0, 1], [[0.8], [0.8]], [[0.6], [0.6]])
     env = upper_envelope(inst, np.array([0.9, 0.9]))
     assert owner_sequence(env) == [0]
+
+
+def test_envelope_concurrent_lines_go_to_steepest():
+    # three lines through (0.5, 1): the flat one leads on the left, and of the
+    # two that overtake it at 0.5 the steeper one leads on the right
+    inst = build_instance([1 / 3] * 3, [0, 1], [[0.0], [1.0], [2.0]],
+                          [[1.0], [0.5], [0.0]])
+    env = upper_envelope(inst, np.full(3, 0.5))
+    assert owner_sequence(env) == [0, 2]
+    assert env.breakpoints[1] == 0.5
 
 
 def test_envelope_rejects_nonpositive_beta(example5):
@@ -178,3 +197,52 @@ def test_plot_data_includes_envelope_breakpoints(example5):
         assert np.any(np.isclose(theta, b, atol=1e-12))
     # p_star column equals the per-row max of the scaled valuation columns
     assert np.allclose(rows[:, 1], rows[:, 2:].max(axis=1), atol=1e-10)
+
+
+@st.composite
+def envelope_cases(draw):
+    """(instance, beta): n and K in 1..30 with some buyers copied from others
+    at equal beta.  A plain copy ties its source exactly; a copy rotated on
+    one segment about the segment midpoint keeps its total value, so it still
+    meets its source and the source's other rotations at that midpoint."""
+    n = draw(st.integers(1, 30))
+    k = draw(st.integers(1, 30))
+    mode = draw(st.sampled_from(["linear", "quasilinear"]))
+    doc = sample_document(n, k, draw(st.integers(0, 2**32 - 1)), mode=mode)
+    pts = doc["breakpoints"]
+    # few sources, so that several rotations of one line meet at one point
+    copy = st.tuples(st.integers(0, min(n, 3) - 1), st.integers(0, n - 1),
+                     st.integers(0, k - 1), st.floats(-1.0, 1.0), st.booleans())
+    copies = draw(st.lists(copy, max_size=n))
+    for src, dst, seg, tilt, rotate in copies:
+        doc["c"][dst] = list(doc["c"][src])
+        doc["d"][dst] = list(doc["d"][src])
+        if rotate:
+            mid = 0.5 * (pts[seg] + pts[seg + 1])
+            v_mid = doc["c"][src][seg] * mid + doc["d"][src][seg]
+            slope = tilt * v_mid / (0.5 * (pts[seg + 1] - pts[seg]))
+            doc["c"][dst][seg] = slope
+            doc["d"][dst][seg] = v_mid - slope * mid
+    inst = build_instance(doc["budgets"], pts, doc["c"], doc["d"], mode=mode)
+    lo, hi = beta_bounds(inst)
+    t = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    beta = lo + t * (hi - lo)
+    for src, dst, *_ in copies:
+        beta[dst] = beta[src]
+    return inst, beta
+
+
+@settings(max_examples=150, deadline=None)
+@given(envelope_cases())
+def test_batched_envelope_properties(case):
+    inst, beta = case
+    env = upper_envelope(inst, beta)
+    theta = np.linspace(0.0, 1.0, 2000)
+    direct = np.max(beta[:, None] * inst.values_at(theta), axis=0)
+    assert np.abs(env(theta) - direct).max() <= 1e-10
+    assert certify_envelope(inst, beta, env)
+    U = winning_utility_matrix(inst, beta)
+    assert np.array_equal(U.sum(axis=1), winning_utilities(inst, beta))
+    pts = inst.grid.points
+    per_segment = [env.integral(pts[k], pts[k + 1]) for k in range(inst.num_segments)]
+    np.testing.assert_allclose(beta @ U, per_segment, rtol=1e-12, atol=1e-15)
