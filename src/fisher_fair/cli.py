@@ -1,10 +1,13 @@
 """Command-line interface.
 
-Subcommands: solve, verify, emit-conic, sda, ellipsoid, oracle,
-sample-instance, plot-data, bench.  Exit codes: 0 success (certified where
-applicable), 1 input or validation error, 2 solver finished without a
-certificate (the best iterate is still written).  ``bench`` parallelizes
-across grid cells; FISHER_FAIR_THREADS caps the process pool.
+Subcommands: solve (``--mode dual`` or ``sda``), verify, emit-conic, sda,
+ellipsoid (the only path to the ellipsoid solver, with an optional ``--log``
+CSV), oracle, sample-instance, plot-data, bench.  Exit codes: 0 success
+(certified where applicable), 1 input or validation error, including result
+files that lack a required key and malformed ``bench`` arguments, 2 solver
+finished without a certificate (the best iterate is still written).
+``bench`` parallelizes across grid cells; FISHER_FAIR_THREADS caps the
+process pool.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .dual_solver import (
 )
 from .ellipsoid import ellipsoid_solve
 from .envelope import plot_data
-from .errors import FisherFairError, NotConverged
+from .errors import FisherFairError, NotConverged, ValidationError
 from .feasible import emit_conic_program
 from .market import load_instance
 from .sampling import sample_document
@@ -57,22 +60,19 @@ def _write_csv(path, header, rows):
             out.close()
 
 
+def _read_result(path, keys):
+    """JSON document of a result file; every key in ``keys`` must be present."""
+    with open(path, "r", encoding="utf-8") as fh:
+        doc = json.load(fh)
+    missing = [k for k in keys if not isinstance(doc, dict) or k not in doc]
+    if missing:
+        raise ValidationError(f"result file {path} lacks {', '.join(missing)}")
+    return doc
+
+
 def _cmd_solve(args):
     instance = load_instance(args.instance)
-    mode = args.mode
-    if mode in ("auto", "dual"):
-        cfg = SolveConfig(gap_tol=args.gap_tol)
-        try:
-            result = solve(instance, cfg)
-            code = 0
-        except NotConverged as exc:
-            result = exc.result
-            code = 2
-        if args.out:
-            result.save(args.out)
-        print(f"gap {result.gap:.3e} after {result.iterations} evaluations")
-        return code
-    if mode == "sda":
+    if args.mode == "sda":
         trace = sda_mod.sda_run(instance, args.iters, args.seed)
         result = allocation_from_beta(instance, trace.beta_avg[-1])
         result.iterations = args.iters
@@ -80,20 +80,21 @@ def _cmd_solve(args):
             result.save(args.out)
         print(f"sda average after {args.iters} samples, gap {result.gap:.3e}")
         return 0 if result.gap <= args.gap_tol else 2
-    if mode == "ellipsoid":
-        res = ellipsoid_solve(instance, args.epsilon)
-        if args.out:
-            _write_json(res.to_json(), args.out)
-        print(f"ellipsoid finished after {res.calls} oracle calls "
-              f"(budget {res.call_budget}), certified={res.certified}")
-        return 0 if res.certified else 2
-    raise FisherFairError(f"unknown mode {mode!r}")
+    try:
+        result = solve(instance, SolveConfig(gap_tol=args.gap_tol))
+        code = 0
+    except NotConverged as exc:
+        result = exc.result
+        code = 2
+    if args.out:
+        result.save(args.out)
+    print(f"gap {result.gap:.3e} after {result.iterations} evaluations")
+    return code
 
 
 def _cmd_verify(args):
     instance = load_instance(args.instance)
-    with open(args.result, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_result(args.result, ("beta", "u", "u_segments", "intervals"))
     result = EquilibriumResult.from_json(doc)
     report = check_equilibrium(instance, result.allocation, result.beta,
                                tol=args.tol, delta=result.delta)
@@ -121,8 +122,7 @@ def _cmd_sda(args):
     instance = load_instance(args.instance)
     beta_ref = None
     if args.ref:
-        with open(args.ref, "r", encoding="utf-8") as fh:
-            beta_ref = np.asarray(json.load(fh)["beta"], dtype=float)
+        beta_ref = np.asarray(_read_result(args.ref, ("beta",))["beta"], dtype=float)
     trace = sda_mod.sda_run(instance, args.iters, args.seed, beta_ref=beta_ref)
     header, rows = trace.csv_rows()
     _write_csv(args.out, header, rows)
@@ -161,8 +161,7 @@ def _cmd_sample(args):
 def _cmd_plot_data(args):
     instance = load_instance(args.instance)
     if args.result:
-        with open(args.result, "r", encoding="utf-8") as fh:
-            beta = np.asarray(json.load(fh)["beta"], dtype=float)
+        beta = np.asarray(_read_result(args.result, ("beta",))["beta"], dtype=float)
     else:
         beta = solve(instance).beta
     header, rows = plot_data(instance, beta, num_points=args.points)
@@ -192,9 +191,18 @@ def _cmd_bench(args):
     except ValueError as exc:
         raise FisherFairError(f"bad --grid value {args.grid!r}; "
                               "expected N1,N2,..:K1,K2,..") from exc
-    seeds = [int(v) for v in args.seeds.split(",") if v]
+    try:
+        seeds = [int(v) for v in args.seeds.split(",") if v]
+    except ValueError as exc:
+        raise FisherFairError(f"bad --seeds value {args.seeds!r}; "
+                              "expected S1,S2,..") from exc
+    threads = os.environ.get("FISHER_FAIR_THREADS", str(os.cpu_count() or 1))
+    try:
+        workers = int(threads)
+    except ValueError as exc:
+        raise FisherFairError(f"FISHER_FAIR_THREADS must be an integer, "
+                              f"got {threads!r}") from exc
     tasks = [(n, k, s, args.gap_tol) for n in ns for k in ks for s in seeds]
-    workers = int(os.environ.get("FISHER_FAIR_THREADS", os.cpu_count() or 1))
     results = []
     if tasks:
         if workers > 1 and len(tasks) > 1:
@@ -235,12 +243,9 @@ def build_parser():
 
     p = sub.add_parser("solve", help="compute a certified equilibrium")
     p.add_argument("--instance", required=True)
-    p.add_argument("--mode", choices=["auto", "dual", "sda", "ellipsoid"],
-                   default="auto")
+    p.add_argument("--mode", choices=["dual", "sda"], default="dual")
     p.add_argument("--out", default=None, help="result JSON path")
     p.add_argument("--gap-tol", type=float, default=1e-8, dest="gap_tol")
-    p.add_argument("--epsilon", type=float, default=1e-4,
-                   help="accuracy for --mode ellipsoid")
     p.add_argument("--iters", type=int, default=100000,
                    help="samples for --mode sda")
     p.add_argument("--seed", type=int, default=0, help="seed for --mode sda")

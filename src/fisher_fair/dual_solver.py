@@ -33,6 +33,7 @@ from .market import Interval, MarketInstance, QUASILINEAR
 
 GAP_TOL = 1e-8
 _GAP_FLOOR = 1e-13        # stop polishing below this gap
+_NEWTON_ITERS = 80        # Newton steps of the polish phase
 _BOUNDARY_SNAP = 1e-12    # beta this close to a box face counts as active
 
 
@@ -43,8 +44,6 @@ class SolveConfig:
     step_schedule: str = "polyak"   # "polyak" | "sqrt"
     eta0: float = 0.1
     subgradient_iters: int = 200    # phase-1 budget before Newton takes over
-    newton_iters: int = 80
-    polish: bool = True
 
 
 @dataclass
@@ -53,9 +52,6 @@ class PureAllocation:
 
     intervals: list
     leftover: list = field(default_factory=list)
-
-    def buyer_intervals(self, i):
-        return self.intervals[i]
 
     def to_json(self):
         return {
@@ -265,6 +261,24 @@ def quasilinear_postprocess(instance: MarketInstance, beta, u_alloc):
     return delta, ueg, net
 
 
+def duality_gap(instance: MarketInstance, beta, psi, u):
+    """Certified gap psi(beta) - (primal + C) of an allocation worth u.
+
+    Returns (gap, program utilities, delta, net utilities).  In quasilinear
+    mode the utilities are first topped up by ``quasilinear_postprocess``;
+    delta and the net utilities are None in linear mode.  A zero utility
+    makes the primal -inf and the gap inf.
+    """
+    delta = net = None
+    if instance.mode == QUASILINEAR:
+        delta, u, net = quasilinear_postprocess(instance, beta, u)
+        with np.errstate(divide="ignore"):
+            primal = float(np.dot(instance.budgets, np.log(u)) - delta.sum())
+    else:
+        primal, _ = _primal_value(instance, u)
+    return psi - (primal + duality_constant(instance)), u, delta, net
+
+
 def allocation_from_beta(instance: MarketInstance, beta) -> EquilibriumResult:
     """Extract a pure allocation and its gap certificate at given utility
     prices (e.g. a stochastic average); no further optimization happens."""
@@ -272,19 +286,7 @@ def allocation_from_beta(instance: MarketInstance, beta) -> EquilibriumResult:
     psi, _, useg_win, env = dual_subgradient(instance, beta)
     useg_win = _split_winning_ties(instance, beta, useg_win)
     allocation, useg = _extract_allocation(instance, beta, useg_win)
-    u = useg.sum(axis=1)
-    C = duality_constant(instance)
-    delta = net = None
-    if instance.mode == QUASILINEAR:
-        delta, ueg, net = quasilinear_postprocess(instance, beta, u)
-        with np.errstate(divide="ignore"):
-            primal = float(np.dot(instance.budgets, np.log(ueg)) - delta.sum())
-        u = ueg
-    else:
-        with np.errstate(divide="ignore"):
-            primal = (float(np.dot(instance.budgets, np.log(u)))
-                      if np.all(u > 0) else -np.inf)
-    gap = psi - (primal + C)
+    gap, u, delta, net = duality_gap(instance, beta, psi, useg.sum(axis=1))
     return EquilibriumResult(beta=beta, u=u, useg=useg, allocation=allocation,
                              prices=env, gap=float(gap), iterations=1,
                              mode=instance.mode, delta=delta,
@@ -333,7 +335,7 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
     for t in range(1, cfg.subgradient_iters + 1):
         if best_gap <= cfg.gap_tol * 1e-2 or evals >= cfg.max_iter:
             break
-        if cfg.polish and best_gap <= 1e-3:
+        if best_gap <= 1e-3:
             break
         gnorm2 = float(np.dot(g, g))
         if gnorm2 <= 0.0:
@@ -348,90 +350,74 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
         psi, g, useg, env, gap = assess(beta)
 
     # phase 2: projected Newton polish
-    if cfg.polish:
-        beta = best_beta.copy()
-        psi, g, useg, env, gap = assess(beta)
-        gn = float(np.abs(g).max())
-        stall = 0
-        for _ in range(cfg.newton_iters):
-            if (best_gap <= _GAP_FLOOR and gn <= 1e-11) or evals >= cfg.max_iter:
+    beta = best_beta.copy()
+    psi, g, useg, env, gap = assess(beta)
+    gn = float(np.abs(g).max())
+    stall = 0
+    for _ in range(_NEWTON_ITERS):
+        if (best_gap <= _GAP_FLOOR and gn <= 1e-11) or evals >= cfg.max_iter:
+            break
+        H = _envelope_hessian(instance, env, beta) + np.diag(B / beta ** 2)
+        free = ~(((beta >= hi - _BOUNDARY_SNAP) & (g < 0))
+                 | ((beta <= lo + _BOUNDARY_SNAP) & (g > 0)))
+        step = np.zeros_like(beta)
+        if free.any():
+            Hf = H[np.ix_(free, free)]
+            try:
+                step[free] = np.linalg.solve(
+                    Hf + 1e-14 * np.eye(Hf.shape[0]), -g[free])
+            except np.linalg.LinAlgError:
+                step[free] = -g[free]
+        improved = False
+        alpha = 1.0
+        for _ls in range(25):
+            cand = np.clip(beta + alpha * step, lo, hi)
+            psi_c, g_c, useg_c, env_c, gap_c = assess(cand)
+            gn_c = float(np.abs(g_c).max())
+            # near the floor psi is flat to roundoff while Newton still
+            # shrinks the gradient; accept on either signal
+            if (psi_c < psi or (psi_c <= psi and gn_c < gn)
+                    or gap_c < best_gap * 0.999):
+                beta, psi, g, useg, env, gap = (cand, psi_c, g_c, useg_c,
+                                                env_c, gap_c)
+                gn = gn_c
+                improved = True
                 break
-            H = _envelope_hessian(instance, env, beta) + np.diag(B / beta ** 2)
-            free = ~(((beta >= hi - _BOUNDARY_SNAP) & (g < 0))
-                     | ((beta <= lo + _BOUNDARY_SNAP) & (g > 0)))
-            step = np.zeros_like(beta)
-            if free.any():
-                Hf = H[np.ix_(free, free)]
-                try:
-                    step[free] = np.linalg.solve(
-                        Hf + 1e-14 * np.eye(Hf.shape[0]), -g[free])
-                except np.linalg.LinAlgError:
-                    step[free] = -g[free]
-            improved = False
-            alpha = 1.0
-            for _ls in range(25):
-                cand = np.clip(beta + alpha * step, lo, hi)
-                psi_c, g_c, useg_c, env_c, gap_c = assess(cand)
-                gn_c = float(np.abs(g_c).max())
-                # near the floor psi is flat to roundoff while Newton still
-                # shrinks the gradient; accept on either signal
-                if (psi_c < psi or (psi_c <= psi and gn_c < gn)
-                        or gap_c < best_gap * 0.999):
-                    beta, psi, g, useg, env, gap = (cand, psi_c, g_c, useg_c,
-                                                    env_c, gap_c)
-                    gn = gn_c
-                    improved = True
-                    break
-                alpha *= 0.5
-                if evals >= cfg.max_iter:
-                    break
-            if not improved:
-                stall += 1
-                if stall >= 2:
-                    break
-                eta = min(max(psi - best_bound, 0.0)
-                          / max(float(np.dot(g, g)), 1e-30), 0.05)
-                cand = np.clip(beta - eta * g, lo, hi)
-                psi, g, useg, env, gap = assess(cand)
-                gn = float(np.abs(g).max())
-                beta = cand
-            else:
-                stall = 0
+            alpha *= 0.5
+            if evals >= cfg.max_iter:
+                break
+        if not improved:
+            stall += 1
+            if stall >= 2:
+                break
+            eta = min(max(psi - best_bound, 0.0)
+                      / max(float(np.dot(g, g)), 1e-30), 0.05)
+            cand = np.clip(beta - eta * g, lo, hi)
+            psi, g, useg, env, gap = assess(cand)
+            gn = float(np.abs(g).max())
+            beta = cand
+        else:
+            stall = 0
 
     beta = best_beta
     psi, g, useg_win, env, _ = assess(beta)
     allocation, useg = _extract_allocation(instance, beta, useg_win)
     u_alloc = useg.sum(axis=1)
-
-    def finalize(b, psi_b, env_b):
-        delta = net = None
-        if instance.mode == QUASILINEAR:
-            delta, ueg, net = quasilinear_postprocess(instance, b, u_alloc)
-            with np.errstate(divide="ignore"):
-                primal = float(np.dot(B, np.log(ueg)) - delta.sum())
-            u_report = ueg
-        else:
-            with np.errstate(divide="ignore"):
-                primal = (float(np.dot(B, np.log(u_alloc)))
-                          if np.all(u_alloc > 0) else -np.inf)
-            u_report = u_alloc
-        gap_here = psi_b - (primal + C)
-        return gap_here, u_report, delta, net, env_b
-
-    gap_final, u_report, delta, net, env_out = finalize(beta, psi, env)
+    gap_final, u_report, delta, net = duality_gap(instance, beta, psi, u_alloc)
     # the allocation-implied beta makes the utility-price identity exact and
     # often carries a sharper certificate; keep whichever pair is better
     if np.all(u_alloc > 0):
         beta_alt = np.clip(B / u_alloc, lo, hi)
         if not np.allclose(beta_alt, beta, rtol=0, atol=1e-15):
             psi_alt, _, _, env_alt, _ = assess(beta_alt)
-            gap_alt, u_alt, delta_alt, net_alt, _ = finalize(beta_alt, psi_alt, env_alt)
+            gap_alt, u_alt, delta_alt, net_alt = duality_gap(instance, beta_alt,
+                                                             psi_alt, u_alloc)
             if np.isfinite(gap_alt) and (not np.isfinite(gap_final)
                                          or gap_alt < gap_final):
-                beta, gap_final, u_report, delta, net, env_out = (
+                beta, gap_final, u_report, delta, net, env = (
                     beta_alt, gap_alt, u_alt, delta_alt, net_alt, env_alt)
     result = EquilibriumResult(
-        beta=beta, u=u_report, useg=useg, allocation=allocation, prices=env_out,
+        beta=beta, u=u_report, useg=useg, allocation=allocation, prices=env,
         gap=float(gap_final if np.isfinite(gap_final) else np.inf),
         iterations=evals, mode=instance.mode, delta=delta, ql_net_utilities=net,
         gap_history=gap_history)

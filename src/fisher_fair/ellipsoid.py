@@ -34,11 +34,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import upper_envelope, winning_utility_matrix
+from .envelope import dual_objective, winning_utility_matrix
 from .errors import NumericalBreakdown, ValidationError
-from .feasible import membership, normalize_segment, partition_segment
-from .market import Interval, LinearPiece, MarketInstance, cut, eval_interval
-from .dual_solver import PureAllocation
+from .feasible import greedy_cuts, membership, normalize_segment, partition_segment
+# cut is unused here; perfbench/spans.py patches the name ellipsoid.cut
+from .market import Interval, MarketInstance, cut  # noqa: F401
+from .dual_solver import PureAllocation, duality_gap
 
 _CAP_MULTIPLIER = 4.0
 _EPS_MARGIN = 16.0
@@ -184,13 +185,11 @@ def feasible_start(system: PerturbedSystem) -> np.ndarray:
         for j, i in enumerate(seg.order):
             x[system.uhat_index[(k, j)]] = 1.0 / n
             x[system.useg_index[(int(i), k)]] = float(seg.lam[i]) / n
-        pos = 0.0
+        points, _, _ = greedy_cuts(seg.c_hat, seg.d_hat, seg.order,
+                                   np.full(m, 1.0 / n), 0.0, 1.0)
         for j in range(m - 1):
-            i = seg.order[j]
-            piece = LinearPiece(seg.c_hat[i], seg.d_hat[i])
-            pos = cut(piece, pos, 1.0 / n, 1.0)
-            s_val = pos
-            t_val = min(pos * pos + system.eps_internal / 4.0, 1.0)
+            s_val = points[j]
+            t_val = min(s_val * s_val + system.eps_internal / 4.0, 1.0)
             x[system.aux_index[("s", k, j)]] = s_val
             x[system.aux_index[("t", k, j)]] = t_val
             a, bb = seg.order[j], seg.order[j + 1]
@@ -294,7 +293,7 @@ def _discounted_utilities(system: PerturbedSystem, x):
     return useg
 
 
-def _segment_membership(inst, seg, u_col):
+def _segment_membership(seg, u_col):
     act = seg.active
     if act.size == 0:
         return bool(np.all(u_col <= 1e-12))
@@ -306,16 +305,11 @@ def _clip_to_membership(seg, u_col):
     that exceeds the remaining capacity; the result is exactly feasible and
     each buyer loses at most its own overshoot."""
     out = u_col.copy()
-    x = 0.0
-    for i in seg.order:
-        i = int(i)
-        target = max(out[i], 0.0) / float(seg.lam[i])
-        piece = LinearPiece(seg.c_hat[i], seg.d_hat[i])
-        remaining = eval_interval(piece, Interval(x, 1.0))
-        if target > remaining:
-            target = max(remaining, 0.0)
-            out[i] = target * float(seg.lam[i])
-        x = cut(piece, x, target, 1.0) if target > 0.0 else x
+    lam = seg.lam[seg.order]
+    _, delivered, truncated = greedy_cuts(seg.c_hat, seg.d_hat, seg.order,
+                                          np.maximum(out[seg.order], 0.0) / lam,
+                                          0.0, 1.0, tol=0.0)
+    out[seg.order[truncated]] = delivered[truncated] * lam[truncated]
     return out
 
 
@@ -427,9 +421,9 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
         raise NumericalBreakdown("no feasible center was ever observed")
     useg = _discounted_utilities(system, state.best_point)
     for k, seg in enumerate(system.segments):
-        if not _segment_membership(instance, seg, useg[:, k]):
+        if not _segment_membership(seg, useg[:, k]):
             useg[:, k] = _clip_to_membership(seg, useg[:, k])
-        if not _segment_membership(instance, seg, useg[:, k]):
+        if not _segment_membership(seg, useg[:, k]):
             raise NumericalBreakdown(
                 f"discounted utilities remain infeasible on segment {k}")
     # the enlarged constraints let every u_ik carry a phantom slop of a few
@@ -463,11 +457,7 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     allocation = PureAllocation(intervals=intervals, leftover=leftover)
     u = useg.sum(axis=1)
     beta = np.clip(B / np.maximum(u, 1e-300), B, 1.0)
-    env = upper_envelope(instance, beta)
-    with np.errstate(divide="ignore"):
-        primal = float(np.dot(B, np.log(u))) if np.all(u > 0) else -np.inf
-    constant = float(B.sum() - np.dot(B, np.log(B)))
-    gap = (env.integral() - float(np.dot(B, np.log(beta)))) - (primal + constant)
+    gap = duality_gap(instance, beta, dual_objective(instance, beta), u)[0]
     certified = certified and gap <= eps
     return EllipsoidResult(
         u=u, useg=useg, beta=beta, allocation=allocation,

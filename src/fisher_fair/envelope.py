@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .market import Interval, LinearPiece, MarketInstance
+from .market import LinearPiece, MarketInstance
 
 ENV_TOL = 1e-9      # owner certification tolerance (dominance slack)
 _TIE_EPS = 1e-13    # relative slack when grouping equal leaders at a point
@@ -50,9 +50,6 @@ class PiecewiseLinearFunction:
 
     def piece(self, j: int) -> LinearPiece:
         return LinearPiece(self.cs[j], self.ds[j])
-
-    def piece_interval(self, j: int) -> Interval:
-        return Interval(self.breakpoints[j], self.breakpoints[j + 1])
 
     def locate(self, theta):
         idx = np.searchsorted(self.breakpoints, theta, side="right") - 1

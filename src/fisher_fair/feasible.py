@@ -7,9 +7,12 @@ described by a short chain of linear inequalities plus one parabola-membership
 constraint per adjacent buyer pair.  This module implements:
 
 * ``normalize_segment`` - the rescale-and-sort transform for one grid segment,
-* ``membership`` - an exact greedy oracle (left-to-right cuts in sorted order),
+* ``greedy_cuts`` - the one left-to-right cut loop in sorted order, in any
+  coordinates; membership, partition, the constraint-block certificate and
+  the ellipsoid's clipping and starting point all run it,
+* ``membership`` - an exact greedy oracle (no target truncated by the cuts),
 * ``partition_interval`` - recovery of an actual partition attaining feasible
-  utilities, in O(n log n),
+  utilities, in O(n log n), through the same transform,
 * ``emit_conic_program`` - the full equality-form conic program (nonnegative,
   second-order and exponential cones) whose solution carries the equilibrium
   per-segment utilities, plus the ingest path back from a solution vector.
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InfeasibleUtilities, UnreachableUtility, ValidationError
+from .errors import InfeasibleUtilities, ValidationError
 from .market import Interval, LinearPiece, MarketInstance, cut, eval_interval
 
 LAMBDA_FLOOR = 1e-14   # segment value below which a buyer is inactive there
@@ -54,13 +57,6 @@ class NormalizedSegment:
     def num_active(self) -> int:
         return self.order.size
 
-    def slot(self, i) -> int:
-        """Position of original buyer index i inside the ``active`` vector."""
-        pos = np.searchsorted(self.active, i)
-        if pos >= self.active.size or self.active[pos] != i:
-            raise ValidationError(f"buyer {i} is not active on segment {self.index}")
-        return int(pos)
-
     def G(self, j: int) -> np.ndarray:
         """2x2 matrix mapping (s_j, t_j) on the standard parabola to (z_j, w_j),
         for adjacent sorted buyers j, j+1 (0-based, j < num_active - 1)."""
@@ -68,25 +64,71 @@ class NormalizedSegment:
         return np.array([[self.d_hat[a], 0.5 * self.c_hat[a]],
                          [-self.d_hat[b], -0.5 * self.c_hat[b]]])
 
+    def sorted_targets(self, u) -> np.ndarray:
+        """Normalized targets max(u, 0) / lam in ``order`` for utilities u
+        aligned with ``active``."""
+        pos = np.searchsorted(self.active, self.order)
+        return np.maximum(u[pos], 0.0) / self.lam[self.order]
+
+
+def _rescale_and_sort(cs, ds, lo, hi):
+    """(lam, c_hat, d_hat, active, order) of densities c*theta + d on [lo, hi]."""
+    width = hi - lo
+    lam = 0.5 * cs * (hi * hi - lo * lo) + ds * width
+    active = np.flatnonzero(lam > LAMBDA_FLOOR)
+    c_hat = np.zeros_like(lam)
+    d_hat = np.zeros_like(lam)
+    c_hat[active] = width * width * cs[active] / lam[active]
+    d_hat[active] = width * (cs[active] * lo + ds[active]) / lam[active]
+    order = active[np.argsort(-d_hat[active], kind="stable")]
+    return lam, c_hat, d_hat, active, order
+
 
 def normalize_segment(instance: MarketInstance, k: int) -> NormalizedSegment:
     """Apply the rescale-and-sort transform to segment k of an instance."""
     iv = instance.grid.segment(k)
-    l, h = iv.lo, iv.hi
-    width = h - l
-    if width <= 0:
+    if iv.hi - iv.lo <= 0:
         raise ValidationError(f"segment {k} is degenerate")
-    c = instance.c[:, k]
-    d = instance.d[:, k]
-    lam = 0.5 * c * (h * h - l * l) + d * width
-    active = np.flatnonzero(lam > LAMBDA_FLOOR)
-    c_hat = np.zeros_like(lam)
-    d_hat = np.zeros_like(lam)
-    c_hat[active] = width * width * c[active] / lam[active]
-    d_hat[active] = width * (c[active] * l + d[active]) / lam[active]
-    order = active[np.argsort(-d_hat[active], kind="stable")]
-    return NormalizedSegment(index=k, lo=l, hi=h, lam=lam, c_hat=c_hat,
+    lam, c_hat, d_hat, active, order = _rescale_and_sort(
+        instance.c[:, k], instance.d[:, k], iv.lo, iv.hi)
+    return NormalizedSegment(index=k, lo=iv.lo, hi=iv.hi, lam=lam, c_hat=c_hat,
                              d_hat=d_hat, active=active, order=order)
+
+
+def greedy_cuts(cs, ds, order, targets, lo: float, hi: float,
+                tol: float = MEM_TOL):
+    """Greedy left-to-right cuts of [lo, hi], one per buyer in ``order``.
+
+    Buyer ``order[j]`` (density cs*theta + ds, in whatever coordinates lo and
+    hi are given) takes the interval from the previous cut point to the
+    rightmost point worth ``targets[j]``.  A target that reaches the value
+    left to the right of the current point takes all of it and its cut lands
+    on ``hi``; cutting exactly the remaining value instead would be
+    ill-conditioned where the density vanishes at ``hi``.  Such a target is
+    truncated when it exceeds that value by more than ``tol``.  Returns the
+    cut points, the delivered values and the truncated flags, all aligned
+    with ``order``.  Negative targets count as zero.  A vector of targets is
+    feasible iff none is truncated.
+    """
+    m = len(order)
+    points = np.empty(m)
+    delivered = np.empty(m)
+    truncated = np.zeros(m, dtype=bool)
+    x = lo
+    for j, i in enumerate(order):
+        target = max(float(targets[j]), 0.0)
+        if target > 0.0:
+            piece = LinearPiece(cs[i], ds[i])
+            remaining = eval_interval(piece, Interval(x, hi))
+            if target >= remaining:
+                truncated[j] = target > remaining + tol
+                target = max(remaining, 0.0)
+                x = hi
+            else:
+                x = cut(piece, x, target, hi)
+        delivered[j] = target
+        points[j] = x
+    return points, delivered, truncated
 
 
 def membership(segment: NormalizedSegment, u, mem_tol: float = MEM_TOL) -> bool:
@@ -104,17 +146,9 @@ def membership(segment: NormalizedSegment, u, mem_tol: float = MEM_TOL) -> bool:
             f"membership expects {segment.num_active} utilities, got {u.shape}")
     if np.any(u < -mem_tol):
         return False
-    x = 0.0
-    for i in segment.order:
-        target = max(float(u[segment.slot(i)]) / segment.lam[i], 0.0)
-        if target == 0.0:
-            continue
-        piece = LinearPiece(segment.c_hat[i], segment.d_hat[i])
-        remaining = eval_interval(piece, Interval(x, 1.0))
-        if target > remaining + mem_tol:
-            return False
-        x = cut(piece, x, min(target, remaining), 1.0, tol=mem_tol)
-    return True
+    _, _, truncated = greedy_cuts(segment.c_hat, segment.d_hat, segment.order,
+                                  segment.sorted_targets(u), 0.0, 1.0, mem_tol)
+    return not truncated.any()
 
 
 def partition_interval(cs, ds, lo: float, hi: float, u,
@@ -139,37 +173,25 @@ def partition_interval(cs, ds, lo: float, hi: float, u,
     n = cs.size
     if ds.size != n or u.size != n:
         raise ValidationError("coefficient and utility vectors must share length")
-    width = hi - lo
-    lam = 0.5 * cs * (hi * hi - lo * lo) + ds * width
-    active = np.flatnonzero(lam > LAMBDA_FLOOR)
+    _, _, _, active, order = _rescale_and_sort(cs, ds, lo, hi)
     out = [Interval(hi, hi)] * n
-    if active.size == 0:
-        if not clamp and np.any(u > mem_tol):
-            raise InfeasibleUtilities(
-                "positive utility requested on a zero-value interval")
-        return out
     if not clamp:
         bad = np.setdiff1d(np.flatnonzero(u > mem_tol), active)
         if bad.size:
             raise InfeasibleUtilities(
                 f"buyer {int(bad[0])} has zero value on the interval but u > 0")
-    d_hat = width * (cs[active] * lo + ds[active]) / lam[active]
-    order = active[np.argsort(-d_hat, kind="stable")]
-    x = lo
-    for pos, i in enumerate(order):
-        if remainder_to_last and pos == order.size - 1:
-            out[i] = Interval(x, hi)
-            break
-        target = max(float(u[i]), 0.0)
-        try:
-            b = cut(LinearPiece(cs[i], ds[i]), x, target, hi, tol=mem_tol)
-        except UnreachableUtility:
-            if not clamp:
-                raise InfeasibleUtilities(
-                    f"greedy cut for buyer {int(i)} overruns the interval") from None
-            b = hi
-        out[i] = Interval(x, b)
-        x = b
+    if active.size == 0:
+        return out
+    points, _, truncated = greedy_cuts(cs, ds, order, u[order], lo, hi, mem_tol)
+    if not clamp and truncated.any():
+        raise InfeasibleUtilities(
+            f"greedy cut for buyer {int(order[truncated.argmax()])} overruns "
+            "the interval")
+    if remainder_to_last:
+        points[-1] = hi
+    starts = [lo] + points[:-1].tolist()
+    for i, a, b in zip(order.tolist(), starts, points.tolist()):
+        out[i] = Interval(a, b)
     return out
 
 
@@ -420,27 +442,19 @@ def segment_feasibility_certificate(segment: NormalizedSegment, u,
     coordinates (s_j at the cut, t_j = s_j^2, (z_j, w_j) = G_j (s_j, t_j)) and
     evaluates every block constraint on it.  Returns (ok, assignment).  The
     block is an exact description of the feasible set, so the assignment
-    satisfies it iff u is feasible, which makes this an independent
-    cross-check of ``membership``.
+    satisfies it iff u is feasible.  The verdict reads the block's
+    constraints, not the truncation flags ``membership`` reads, which makes
+    this a cross-check of ``membership``.
     """
     u = np.asarray(u, dtype=float)
     m = segment.num_active
     if u.shape != (m,):
         raise ValidationError(f"expected {m} active utilities, got {u.shape}")
-    lam_sorted = segment.lam[segment.order]
-    uhat = np.maximum(u[[segment.slot(i) for i in segment.order]], 0.0) / lam_sorted
-    cuts = np.zeros(max(m - 1, 0))
-    x = 0.0
-    for j in range(m - 1):
-        i = segment.order[j]
-        piece = LinearPiece(segment.c_hat[i], segment.d_hat[i])
-        try:
-            x = cut(piece, x, uhat[j], 1.0, tol=mem_tol)
-        except UnreachableUtility:
-            x = 1.0
-        cuts[j] = x
-    s = cuts
-    t = cuts ** 2
+    uhat = segment.sorted_targets(u)
+    s, _, _ = greedy_cuts(segment.c_hat, segment.d_hat, segment.order, uhat,
+                          0.0, 1.0, mem_tol)
+    s = s[:max(m - 1, 0)]
+    t = s ** 2
     z = np.zeros(max(m - 1, 0))
     w = np.zeros(max(m - 1, 0))
     for j in range(m - 1):

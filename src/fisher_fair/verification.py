@@ -12,7 +12,6 @@ independent cross-check (accurate to the O(1/m) discretization error).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -316,9 +315,3 @@ def discretized_oracle(instance: MarketInstance, m: int, gap_tol: float = 1e-8,
     if ql:
         beta = np.clip(beta, None, 1.0)
     return OracleResult(beta=beta, u=u_prog, rounds=rounds, cells=m)
-
-
-def report_to_file(report, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(report.to_json(), fh, indent=1)
-        fh.write("\n")

@@ -1,10 +1,12 @@
 import csv
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fisher_fair.cli import main
+from fisher_fair.cli import build_parser, main
 from tests.conftest import example5_document
 
 
@@ -78,15 +80,15 @@ def test_solve_mode_sda_and_exit_codes(tmp_path, ex5_file):
     assert len(doc["beta"]) == 4
 
 
-def test_solve_mode_ellipsoid_cross_checks_dual(tmp_path):
+def test_ellipsoid_command_cross_checks_dual(tmp_path):
     inst_path = tmp_path / "i32.json"
     assert main(["sample-instance", "--n", "3", "--k", "2", "--seed", "11",
                  "--out", str(inst_path)]) == 0
     dual_out = str(tmp_path / "dual.json")
     ell_out = str(tmp_path / "ell.json")
     assert main(["solve", "--instance", str(inst_path), "--out", dual_out]) == 0
-    assert main(["solve", "--instance", str(inst_path), "--mode", "ellipsoid",
-                 "--epsilon", "1e-4", "--out", ell_out]) == 0
+    assert main(["ellipsoid", "--instance", str(inst_path), "--epsilon", "1e-4",
+                 "--out", ell_out]) == 0
     ud = np.asarray(json.loads(open(dual_out).read())["u"])
     ue = np.asarray(json.loads(open(ell_out).read())["u"])
     assert np.abs(ud - ue).max() <= 5e-4
@@ -182,3 +184,34 @@ def test_verify_flags_bad_result(tmp_path, ex5_file):
     bad.write_text(json.dumps(doc))
     assert main(["verify", "--instance", ex5_file, "--result", str(bad),
                  "--out", str(tmp_path / "rep.json")]) == 2
+
+
+@pytest.mark.parametrize("doc", [{"beta": [0.5]}, example5_document()],
+                         ids=["missing-u", "instance-as-result"])
+def test_verify_result_missing_keys_exits_one(tmp_path, ex5_file, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--instance", ex5_file, "--result", str(bad)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bench_bad_seeds_exits_one(capsys):
+    assert main(["bench", "--grid", "3:2", "--seeds", "1,x"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_bench_bad_thread_count_exits_one(monkeypatch, capsys):
+    monkeypatch.setenv("FISHER_FAIR_THREADS", "x")
+    assert main(["bench", "--grid", "3:2", "--seeds", "1"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_readme_commands_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```sh", 1)[1]
+    block = block.split("```", 1)[0]
+    commands = [line for line in block.splitlines() if line.startswith("fisher-fair ")]
+    assert commands
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])

@@ -86,8 +86,7 @@ def test_sqrt_schedule_converges(example5):
 
 
 def test_not_converged_carries_best(example5):
-    cfg = SolveConfig(max_iter=4, subgradient_iters=3, polish=False,
-                      gap_tol=1e-12)
+    cfg = SolveConfig(max_iter=4, subgradient_iters=3, gap_tol=1e-12)
     with pytest.raises(NotConverged) as exc:
         solve(example5, cfg)
     assert exc.value.result is not None

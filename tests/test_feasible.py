@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fisher_fair import (
     InfeasibleUtilities,
@@ -12,9 +14,14 @@ from fisher_fair import (
     partition_segment,
     solve,
 )
+from fisher_fair.ellipsoid import _clip_to_membership
 from fisher_fair.feasible import (
+    MEM_TOL,
     ConicProgram,
+    NormalizedSegment,
+    _rescale_and_sort,
     build_conic_representation,
+    greedy_cuts,
     segment_feasibility_certificate,
 )
 from fisher_fair.market import Interval, LinearPiece, cut, eval_interval
@@ -124,6 +131,62 @@ def test_partition_infeasible_raises():
     # the first cut already overruns the right endpoint
     with pytest.raises(InfeasibleUtilities):
         partition_segment(inst, 0, np.array([1.5, 0.1]))
+
+
+def test_partition_rejects_overrun_of_sorted_last_buyer():
+    # equal densities: buyer 1 comes last in sorted order and asks for 0.5
+    # where only 0.1 is left
+    with pytest.raises(InfeasibleUtilities):
+        partition_interval([0.0, 0.0], [1.0, 1.0], 0.0, 1.0, [0.9, 0.5])
+    parts = partition_interval([0.0, 0.0], [1.0, 1.0], 0.0, 1.0, [0.9, 0.5],
+                               clamp=True)
+    assert [p.as_pair() for p in parts] == [(0.0, 0.9), (0.9, 1.0)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_greedy_cuts_properties(data):
+    n = data.draw(st.integers(1, 6))
+    # endpoint densities are 0 or at least 1e-6: ``cut`` rejects a piece whose
+    # coefficients are both below market.C_EPS as degenerate, even when the
+    # segment still counts the buyer as active
+    ends = st.just(0.0) | st.floats(1e-6, 2.0)
+    y0 = np.array(data.draw(st.lists(ends, min_size=n, max_size=n)))
+    y1 = np.array(data.draw(st.lists(ends, min_size=n, max_size=n)))
+    lo = data.draw(st.floats(0.0, 0.5))
+    hi = lo + data.draw(st.floats(0.05, 0.5))
+    cs = (y1 - y0) / (hi - lo)
+    ds = y0 - cs * lo
+    # a feasible point from random cuts, then per-buyer factors around it
+    pts = sorted(data.draw(st.lists(st.floats(lo, hi), min_size=n - 1,
+                                    max_size=n - 1)))
+    edges = [lo] + pts + [hi]
+    perm = data.draw(st.permutations(range(n)))
+    u = np.zeros(n)
+    for j, i in enumerate(perm):
+        u[i] = max(eval_interval(LinearPiece(cs[i], ds[i]),
+                                 Interval(edges[j], edges[j + 1])), 0.0)
+    u *= np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
+                                     min_size=n, max_size=n)))
+    seg = NormalizedSegment(0, lo, hi, *_rescale_and_sort(cs, ds, lo, hi))
+
+    for coeffs, targets, a, b in (
+            ((cs, ds), u[seg.order], lo, hi),
+            ((seg.c_hat, seg.d_hat), seg.sorted_targets(u[seg.active]), 0.0, 1.0)):
+        points, delivered, truncated = greedy_cuts(*coeffs, seg.order, targets, a, b)
+        assert np.all(delivered <= np.maximum(targets, 0.0))
+        assert np.all(delivered[~truncated] >= targets[~truncated] - MEM_TOL)
+        starts = np.concatenate([[a], points[:-1]])
+        assert np.all(points >= starts) and np.all(points <= b)
+        got = [eval_interval(LinearPiece(coeffs[0][i], coeffs[1][i]), Interval(x0, x1))
+               for i, x0, x1 in zip(seg.order, starts, points)]
+        assert np.allclose(got, delivered, rtol=0, atol=1e-9)
+    # the last run above is the normalized one, which membership reads
+    assert membership(seg, u[seg.active]) == (not truncated.any())
+
+    clipped = _clip_to_membership(seg, u)
+    assert np.all(clipped <= u)
+    assert membership(seg, clipped[seg.active])
 
 
 def test_partition_generate_then_recover_roundtrip():
