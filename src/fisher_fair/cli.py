@@ -4,7 +4,8 @@ Subcommands: solve (``--mode dual`` or ``sda``), verify, emit-conic, sda,
 ellipsoid (the only path to the ellipsoid solver, with an optional ``--log``
 CSV), oracle, sample-instance, plot-data, bench.  Exit codes: 0 success
 (certified where applicable), 1 input or validation error, including result
-files that lack a required key and malformed ``bench`` arguments, 2 solver
+files that lack a required key or hold a value of the wrong type or shape,
+and malformed ``bench`` arguments, 2 solver
 finished without a certificate (the best iterate is still written).
 ``bench`` parallelizes across grid cells; FISHER_FAIR_THREADS caps the
 process pool.
@@ -60,14 +61,44 @@ def _write_csv(path, header, rows):
             out.close()
 
 
-def _read_result(path, keys):
-    """JSON document of a result file; every key in ``keys`` must be present."""
+def _read_result(path, keys, parse):
+    """``parse`` applied to the JSON document of a result file.  Every key in
+    ``keys`` must be present, and a value of the wrong type or shape is a
+    ValidationError naming the file."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     missing = [k for k in keys if not isinstance(doc, dict) or k not in doc]
     if missing:
         raise ValidationError(f"result file {path} lacks {', '.join(missing)}")
-    return doc
+    try:
+        return parse(doc)
+    except (TypeError, ValueError, ValidationError) as exc:
+        raise ValidationError(f"result file {path} is malformed: {exc}") from exc
+
+
+def _buyer_vector(values, n, name):
+    """``values`` as a float vector with one entry per buyer."""
+    vec = np.asarray(values, dtype=float)
+    if vec.shape != (n,):
+        raise ValidationError(f"{name} must hold {n} numbers, got shape {vec.shape}")
+    return vec
+
+
+def _read_beta(path, n):
+    return _read_result(path, ("beta",),
+                        lambda doc: _buyer_vector(doc["beta"], n, "beta"))
+
+
+def _parse_result(doc, n):
+    """EquilibriumResult of a result document for an n-buyer instance."""
+    result = EquilibriumResult.from_json(doc)
+    _buyer_vector(result.beta, n, "beta")
+    if len(result.allocation.intervals) != n:
+        raise ValidationError(f"intervals must hold {n} buyer lists, "
+                              f"got {len(result.allocation.intervals)}")
+    if result.delta is not None:
+        _buyer_vector(result.delta, n, "delta")
+    return result
 
 
 def _cmd_solve(args):
@@ -94,8 +125,8 @@ def _cmd_solve(args):
 
 def _cmd_verify(args):
     instance = load_instance(args.instance)
-    doc = _read_result(args.result, ("beta", "u", "u_segments", "intervals"))
-    result = EquilibriumResult.from_json(doc)
+    result = _read_result(args.result, ("beta", "u", "u_segments", "intervals"),
+                          lambda doc: _parse_result(doc, instance.n))
     report = check_equilibrium(instance, result.allocation, result.beta,
                                tol=args.tol, delta=result.delta)
     fair = fairness(instance, result.allocation, tol=args.tol)
@@ -122,7 +153,7 @@ def _cmd_sda(args):
     instance = load_instance(args.instance)
     beta_ref = None
     if args.ref:
-        beta_ref = np.asarray(_read_result(args.ref, ("beta",))["beta"], dtype=float)
+        beta_ref = _read_beta(args.ref, instance.n)
     trace = sda_mod.sda_run(instance, args.iters, args.seed, beta_ref=beta_ref)
     header, rows = trace.csv_rows()
     _write_csv(args.out, header, rows)
@@ -161,7 +192,7 @@ def _cmd_sample(args):
 def _cmd_plot_data(args):
     instance = load_instance(args.instance)
     if args.result:
-        beta = np.asarray(_read_result(args.result, ("beta",))["beta"], dtype=float)
+        beta = _read_beta(args.result, instance.n)
     else:
         beta = solve(instance).beta
     header, rows = plot_data(instance, beta, num_points=args.points)

@@ -6,14 +6,21 @@ also yields a feasible primal value (the winning sets are an actual
 allocation), so sum_i B_i log u_i + C is a certified lower bound on psi and
 the duality gap is available at every iterate.  The run has two phases:
 
-1. projected subgradient steps, Polyak-sized when a lower bound is known
-   (or eta0/sqrt(t) with ``step_schedule="sqrt"``),
-2. a projected Newton polish: the envelope crossing points depend smoothly on
-   beta, so the winning-utility Jacobian (the Hessian of the envelope
-   integral) is available in closed form piece by piece, and Newton steps
-   drive the gap to roundoff level.
+1. an entropic-smoothing warm start (Nesterov 2005): each grid segment is
+   split into equal cells, the max on each cell is replaced by
+   mu log sum_i exp(beta_i v_i(midpoint) / mu), and projected Newton
+   minimizes that smooth dual over the box for a falling sequence of mu;
+   it costs no exact envelope evaluation,
+2. projected Newton on the exact dual from that point: the envelope crossing
+   points depend smoothly on beta, so the winning-utility Jacobian (the
+   Hessian of the envelope integral) is available in closed form piece by
+   piece, and Newton steps drive the gap to roundoff level.  That Hessian
+   sees only the current envelope structure, so while the gap is above 1e-6
+   the smoothed dual's Hessian is added to it.  A step that cannot decrease
+   psi falls back once to a Polyak-sized subgradient step.
 
-Acceptance of a solution is by the certified duality gap, never by iteration
+Acceptance of a solution is by the certified duality gap and the
+utility-price identity of the extracted allocation, never by iteration
 count.  Allocation extraction projects the utility targets B_i / beta_i onto
 each segment's feasible set by scaling the winning per-segment utilities and
 re-cutting with the partition routine.
@@ -27,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envelope import PiecewiseLinearFunction, beta_bounds, dual_subgradient
-from .errors import NotConverged, ValidationError
+from .errors import NotConverged
 from .feasible import partition_segment
 from .market import Interval, MarketInstance, QUASILINEAR
 
@@ -35,15 +42,29 @@ GAP_TOL = 1e-8
 _GAP_FLOOR = 1e-13        # stop polishing below this gap
 _NEWTON_ITERS = 80        # Newton steps of the polish phase
 _BOUNDARY_SNAP = 1e-12    # beta this close to a box face counts as active
+_IDENTITY_TOL = 1e-7      # |u_i - B_i / beta_i| a certified result may keep
+# smoothed warm start: cells per segment max(_CELLS_MIN, ceil(_CELLS_TOTAL / K)),
+# smoothing levels mu, at most _SMOOTH_ITERS Newton steps per level, a level
+# ending once the Newton decrement is below _SMOOTH_DECREMENT * mu, and cells
+# per block of the cell sweep
+_CELLS_MIN = 8
+_CELLS_TOTAL = 320
+_SMOOTH_MUS = tuple(3e-2 * 0.5 ** i for i in range(9))
+_SMOOTH_ITERS = 30
+_SMOOTH_DECREMENT = 1e-2
+_CELL_BLOCK = 128
+_SOFTMAX_FLOOR = 1e-12
+# the exact Newton phase adds the smoothed Hessian at mu = _CURVATURE_MU for
+# up to 100 buyers, shrinking like 1/n beyond (the gaps between the top scaled
+# lines do), while the gap is above _CURVATURE_GAP
+_CURVATURE_MU = 3e-3
+_CURVATURE_GAP = 1e-6
 
 
 @dataclass
 class SolveConfig:
     max_iter: int = 2000            # total envelope evaluations allowed
     gap_tol: float = GAP_TOL
-    step_schedule: str = "polyak"   # "polyak" | "sqrt"
-    eta0: float = 0.1
-    subgradient_iters: int = 200    # phase-1 budget before Newton takes over
 
 
 @dataclass
@@ -62,9 +83,10 @@ class PureAllocation:
     @classmethod
     def from_json(cls, doc):
         return cls(
-            intervals=[[Interval(lo, hi) for lo, hi in ivs]
+            intervals=[[Interval(float(lo), float(hi)) for lo, hi in ivs]
                        for ivs in doc["intervals"]],
-            leftover=[Interval(lo, hi) for lo, hi in doc.get("leftover", [])])
+            leftover=[Interval(float(lo), float(hi))
+                      for lo, hi in doc.get("leftover", [])])
 
 
 @dataclass
@@ -293,27 +315,141 @@ def allocation_from_beta(instance: MarketInstance, beta) -> EquilibriumResult:
                              ql_net_utilities=net)
 
 
+def _smoothing_cells(instance):
+    """(segment, midpoint, width) of every cell: each grid segment split into
+    max(_CELLS_MIN, ceil(_CELLS_TOTAL / K)) equal cells."""
+    K = instance.num_segments
+    S = max(_CELLS_MIN, -(-_CELLS_TOTAL // K))
+    pts = instance.grid.points
+    width = np.diff(pts) / S
+    seg = np.repeat(np.arange(K), S)
+    mid = pts[seg] + (np.tile(np.arange(S), K) + 0.5) * width[seg]
+    return seg, mid, width[seg]
+
+
+def _cell_densities(instance, cells):
+    """(widths, densities) of the cells, _CELL_BLOCK cells at a time: the
+    densities are the n x block matrix of v_i at the cell midpoints."""
+    seg, mid, wt = cells
+    for s in range(0, seg.size, _CELL_BLOCK):
+        k = seg[s:s + _CELL_BLOCK]
+        V = instance.c[:, k]
+        V *= mid[s:s + _CELL_BLOCK]
+        V += instance.d[:, k]
+        yield wt[s:s + _CELL_BLOCK], V
+
+
+def _smoothed_dual(instance, cells, beta, mu, hessian=True):
+    """Midpoint-rule log-sum-exp dual, its gradient and (optionally) Hessian:
+
+    f = sum_j w_j mu log sum_i exp(beta_i v_ij / mu) - sum_i B_i log beta_i,
+    g = sum_j w_j s_j v_j - B / beta,
+    H = sum_j (w_j / mu) [diag(s_j v_j^2) - (s_j v_j)(s_j v_j)^T] + diag(B / beta^2),
+
+    with v_ij buyer i's density at cell j's midpoint and s_j the softmax of
+    beta * v_j / mu.  Temporaries stay n x _CELL_BLOCK, and the rank-one
+    terms skip buyers whose softmax weight is negligible on a whole block.
+    """
+    B = instance.budgets
+    f = -float(np.dot(B, np.log(beta)))
+    g = -B / beta
+    H = np.diag(B / beta ** 2) if hessian else None
+    scale = beta[:, None] / mu
+    for w, V in _cell_densities(instance, cells):
+        Z = V * scale
+        zmax = Z.max(axis=0)
+        Z -= zmax
+        np.exp(Z, out=Z)
+        tot = Z.sum(axis=0)
+        f += mu * float(np.dot(w, zmax + np.log(tot)))
+        Z *= w / tot                  # w_j s_ij
+        if hessian:
+            # a buyer whose weight is below _SOFTMAX_FLOOR on every cell of
+            # the block changes no rank-one term measurably
+            rows = np.flatnonzero((Z > _SOFTMAX_FLOOR * w).any(axis=1))
+        Z *= V                        # w_j s_ij v_ij
+        g += Z.sum(axis=1)
+        if hessian:
+            H[np.diag_indices_from(H)] += np.einsum("ij,ij->i", Z, V) / mu
+            A = Z[rows] / np.sqrt(w * mu)     # sqrt(w_j / mu) s_ij v_ij
+            H[np.ix_(rows, rows)] -= A @ A.T
+    return f, g, H
+
+
+def _held(beta, g, lo, hi):
+    """Coordinates at a box face that the gradient pushes outward."""
+    return (((beta >= hi - _BOUNDARY_SNAP) & (g < 0))
+            | ((beta <= lo + _BOUNDARY_SNAP) & (g > 0)))
+
+
+def _free_newton_step(H, g, beta, lo, hi):
+    """Projected-Newton direction: zero on coordinates held at a box face by
+    the gradient, the Newton step of the rest."""
+    free = ~_held(beta, g, lo, hi)
+    step = np.zeros_like(beta)
+    if free.any():
+        Hf = H[np.ix_(free, free)]
+        try:
+            step[free] = np.linalg.solve(
+                Hf + 1e-14 * np.eye(Hf.shape[0]), -g[free])
+        except np.linalg.LinAlgError:
+            step[free] = -g[free]
+    return step
+
+
+def _smoothed_start(instance, cells):
+    """Warm start for the exact Newton phase: the minimizer of the smoothed
+    dual over the box, by projected Newton with Armijo backtracking, for each
+    mu in _SMOOTH_MUS in turn, each level starting from the last one's point
+    and the first from equal utility prices."""
+    lo, hi = beta_bounds(instance)
+    # equal utility prices that make the price mass equal the money
+    mass = sum(float(np.dot(w, V.max(axis=0)))
+               for w, V in _cell_densities(instance, cells))
+    beta = np.clip(instance.budgets.sum() / mass, lo, hi)
+    for mu in _SMOOTH_MUS:
+        f, g, H = _smoothed_dual(instance, cells, beta, mu)
+        for _ in range(_SMOOTH_ITERS):
+            step = _free_newton_step(H, g, beta, lo, hi)
+            if -float(np.dot(g, step)) <= _SMOOTH_DECREMENT * mu:
+                break
+            # Armijo backtracking; the full step, taken most of the time,
+            # is tried with its Hessian so an accepted one needs no second pass
+            alpha = 1.0
+            while alpha > 1e-10:
+                cand = np.clip(beta + alpha * step, lo, hi)
+                trial = _smoothed_dual(instance, cells, cand, mu,
+                                       hessian=alpha == 1.0)
+                if trial[0] <= f + 1e-4 * float(np.dot(g, cand - beta)):
+                    break
+                alpha *= 0.5
+            else:
+                break
+            beta = cand
+            f, g, H = (trial if trial[2] is not None
+                       else _smoothed_dual(instance, cells, beta, mu))
+    return beta
+
+
 def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumResult:
     """Compute a certified equilibrium; raises NotConverged (carrying the best
     iterate) when the duality gap cannot be pushed below config.gap_tol."""
     cfg = config or SolveConfig()
-    if cfg.step_schedule not in ("polyak", "sqrt"):
-        raise ValidationError(f"unknown step schedule {cfg.step_schedule!r}")
     B = instance.budgets
     lo, hi = beta_bounds(instance)
     C = duality_constant(instance)
-    beta = np.clip(0.5 * (lo + hi), lo, hi)
     evals = 0
     best_bound = -np.inf
     best_gap = np.inf
     best_gn = np.inf
-    best_beta = beta.copy()
+    best_beta = None
     gap_history = []
 
     def assess(b):
-        # the gap certifies optimality, the gradient norm controls how
-        # faithfully targets B/beta match the winning utilities; prefer
-        # iterates better in the gap, then in the gradient at equal gap
+        # the gap certifies optimality, the projected gradient norm controls
+        # how faithfully targets B/beta match the winning utilities (a buyer
+        # held at the cap keeps money instead); prefer iterates better in the
+        # gap, then in the gradient at equal gap
         nonlocal evals, best_bound, best_gap, best_gn, best_beta
         psi, g, useg, env = dual_subgradient(instance, b)
         evals += 1
@@ -322,65 +458,43 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
         primal, _ = _primal_value(instance, useg.sum(axis=1))
         best_bound = max(best_bound, primal + C)
         gap = psi - best_bound
-        gn = float(np.abs(g).max())
-        if gap < best_gap - 1e-15 or (gap <= best_gap + 1e-14 and gn < best_gn):
+        gn = float(np.abs(np.where(_held(b, g, lo, hi), 0.0, g)).max())
+        if (best_beta is None or gap < best_gap - 1e-15
+                or (gap <= best_gap + 1e-14 and gn < best_gn)):
             best_gap = min(gap, best_gap)
             best_gn = gn
             best_beta = b.copy()
         gap_history.append(best_gap)
-        return psi, g, useg, env, gap
+        return psi, g, useg, env, gap, gn
 
-    psi, g, useg, env, gap = assess(beta)
-    # phase 1: projected subgradient
-    for t in range(1, cfg.subgradient_iters + 1):
-        if best_gap <= cfg.gap_tol * 1e-2 or evals >= cfg.max_iter:
-            break
-        if best_gap <= 1e-3:
-            break
-        gnorm2 = float(np.dot(g, g))
-        if gnorm2 <= 0.0:
-            break
-        if cfg.step_schedule == "polyak" and np.isfinite(best_bound):
-            eta = max(psi - best_bound, 0.0) / gnorm2
-            if eta <= 0.0:
-                eta = cfg.eta0 / np.sqrt(t)
-        else:
-            eta = cfg.eta0 / np.sqrt(t)
-        beta = np.clip(beta - eta * g, lo, hi)
-        psi, g, useg, env, gap = assess(beta)
-
-    # phase 2: projected Newton polish
-    beta = best_beta.copy()
-    psi, g, useg, env, gap = assess(beta)
-    gn = float(np.abs(g).max())
+    cells = _smoothing_cells(instance)
+    curvature_mu = _CURVATURE_MU * min(1.0, 100.0 / instance.n)
+    beta = _smoothed_start(instance, cells)
+    psi, g, useg, env, gap, gn = assess(beta)
     stall = 0
     for _ in range(_NEWTON_ITERS):
         if (best_gap <= _GAP_FLOOR and gn <= 1e-11) or evals >= cfg.max_iter:
             break
-        H = _envelope_hessian(instance, env, beta) + np.diag(B / beta ** 2)
-        free = ~(((beta >= hi - _BOUNDARY_SNAP) & (g < 0))
-                 | ((beta <= lo + _BOUNDARY_SNAP) & (g > 0)))
-        step = np.zeros_like(beta)
-        if free.any():
-            Hf = H[np.ix_(free, free)]
-            try:
-                step[free] = np.linalg.solve(
-                    Hf + 1e-14 * np.eye(Hf.shape[0]), -g[free])
-            except np.linalg.LinAlgError:
-                step[free] = -g[free]
+        if best_gap > _CURVATURE_GAP:
+            # the exact Hessian sees only the current envelope structure; a
+            # step that changes it meets more curvature, which the smoothed
+            # dual's Hessian (barrier included) supplies
+            H = _smoothed_dual(instance, cells, beta, curvature_mu)[2]
+        else:
+            H = np.diag(B / beta ** 2)
+        H += _envelope_hessian(instance, env, beta)
+        step = _free_newton_step(H, g, beta, lo, hi)
         improved = False
         alpha = 1.0
         for _ls in range(25):
             cand = np.clip(beta + alpha * step, lo, hi)
-            psi_c, g_c, useg_c, env_c, gap_c = assess(cand)
-            gn_c = float(np.abs(g_c).max())
+            psi_c, g_c, useg_c, env_c, gap_c, gn_c = assess(cand)
             # near the floor psi is flat to roundoff while Newton still
             # shrinks the gradient; accept on either signal
             if (psi_c < psi or (psi_c <= psi and gn_c < gn)
                     or gap_c < best_gap * 0.999):
-                beta, psi, g, useg, env, gap = (cand, psi_c, g_c, useg_c,
-                                                env_c, gap_c)
-                gn = gn_c
+                beta, psi, g, useg, env, gap, gn = (cand, psi_c, g_c, useg_c,
+                                                    env_c, gap_c, gn_c)
                 improved = True
                 break
             alpha *= 0.5
@@ -393,14 +507,13 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
             eta = min(max(psi - best_bound, 0.0)
                       / max(float(np.dot(g, g)), 1e-30), 0.05)
             cand = np.clip(beta - eta * g, lo, hi)
-            psi, g, useg, env, gap = assess(cand)
-            gn = float(np.abs(g).max())
+            psi, g, useg, env, gap, gn = assess(cand)
             beta = cand
         else:
             stall = 0
 
     beta = best_beta
-    psi, g, useg_win, env, _ = assess(beta)
+    psi, g, useg_win, env = assess(beta)[:4]
     allocation, useg = _extract_allocation(instance, beta, useg_win)
     u_alloc = useg.sum(axis=1)
     gap_final, u_report, delta, net = duality_gap(instance, beta, psi, u_alloc)
@@ -409,7 +522,7 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
     if np.all(u_alloc > 0):
         beta_alt = np.clip(B / u_alloc, lo, hi)
         if not np.allclose(beta_alt, beta, rtol=0, atol=1e-15):
-            psi_alt, _, _, env_alt, _ = assess(beta_alt)
+            psi_alt, _, _, env_alt = assess(beta_alt)[:4]
             gap_alt, u_alt, delta_alt, net_alt = duality_gap(instance, beta_alt,
                                                              psi_alt, u_alloc)
             if np.isfinite(gap_alt) and (not np.isfinite(gap_final)
@@ -425,4 +538,12 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
         raise NotConverged(
             f"duality gap {gap_final:.3e} above tolerance {cfg.gap_tol:.3e} "
             f"after {evals} evaluations", result=result, gap=float(gap_final))
+    # the gap is quadratic in the utility error, so a gap far below gap_tol
+    # can still leave utilities off their targets B / beta by ~sqrt(gap)
+    identity = float(np.abs(u_report - B / beta).max())
+    if identity > _IDENTITY_TOL:
+        raise NotConverged(
+            f"utility-price residual {identity:.3e} above {_IDENTITY_TOL:.0e} "
+            f"at duality gap {gap_final:.3e} after {evals} evaluations",
+            result=result, gap=float(gap_final))
     return result

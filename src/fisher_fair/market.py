@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DegeneratePiece, UnreachableUtility, ValidationError
 
 GRID_EPS = 1e-12    # breakpoint dedup tolerance
-C_EPS = 1e-12       # |c| below this: cut falls back to the linear solution
 CUT_TOL = 1e-10     # eval(cut(...)) roundtrip tolerance
 NONNEG_TOL = 1e-5   # how negative a density may be at a segment endpoint;
                     # loose enough for coefficient tables printed to 4 decimals
@@ -82,9 +81,10 @@ def cut(piece: LinearPiece, a: float, u0: float, segment_end: float,
 
     Solves (c/2)(b^2 - a^2) + d(b - a) = u0 for b.  With va = v(a), the root in
     range is b = a + 2*u0 / (va + sqrt(va^2 + 2*c*u0)), which stays stable as
-    c -> 0.  Raises UnreachableUtility when u0 exceeds the remaining value of
-    the segment beyond ``tol`` and DegeneratePiece when the density is
-    identically ~0 but u0 > tol.
+    c -> 0 and is homogeneous in (c, d, u0), so tiny densities cut as
+    accurately as large ones.  Raises UnreachableUtility when u0 exceeds the
+    remaining value of the segment beyond ``tol`` and DegeneratePiece when
+    the density is identically 0 but u0 > 0.
     """
     if u0 < -tol:
         raise ValidationError(f"cut utility must be nonnegative, got {u0}")
@@ -97,27 +97,26 @@ def cut(piece: LinearPiece, a: float, u0: float, segment_end: float,
             f"requested utility {u0} exceeds remaining {remaining} on "
             f"[{a}, {segment_end}]")
     va = piece.c * a + piece.d
-    if abs(piece.c) < C_EPS:
-        if abs(piece.d) < C_EPS:
-            raise DegeneratePiece(
-                f"cannot cut utility {u0} from a zero piece (c={piece.c}, d={piece.d})")
-        b = a + u0 / piece.d
+    disc = va * va + 2.0 * piece.c * u0
+    if disc < 0.0:
+        # tangency from roundoff only; anything below -1e-10 was caught
+        # by the remaining-value check above
+        disc = 0.0 if disc >= -1e-10 else disc
+    if disc < 0.0:
+        raise UnreachableUtility(
+            f"utility {u0} unreachable on piece (c={piece.c}, d={piece.d})")
+    root = math.sqrt(disc)
+    denom = va + root
+    if denom > 0.0:
+        b = a + 2.0 * u0 / denom
+    elif piece.c != 0.0:
+        # va >= 0 on valid pieces; fall back to the classic formula
+        b = a + (-va + root) / piece.c
+    elif piece.d == 0.0:
+        raise DegeneratePiece(
+            f"cannot cut utility {u0} from a zero piece (c={piece.c}, d={piece.d})")
     else:
-        disc = va * va + 2.0 * piece.c * u0
-        if disc < 0.0:
-            # tangency from roundoff only; anything below -1e-10 was caught
-            # by the remaining-value check above
-            disc = 0.0 if disc >= -1e-10 else disc
-        if disc < 0.0:
-            raise UnreachableUtility(
-                f"utility {u0} unreachable on piece (c={piece.c}, d={piece.d})")
-        root = math.sqrt(disc)
-        denom = va + root
-        if denom <= 0.0:
-            # va >= 0 on valid pieces; fall back to the classic formula
-            b = a + (-va + root) / piece.c
-        else:
-            b = a + 2.0 * u0 / denom
+        b = a    # a constant density below zero has nothing to give
     return min(max(b, a), segment_end)
 
 

@@ -195,6 +195,45 @@ def test_verify_result_missing_keys_exits_one(tmp_path, ex5_file, capsys, doc):
     assert "error:" in capsys.readouterr().err
 
 
+WRONG_TYPES = {
+    "beta-string": {"beta": "x", "u": [1], "u_segments": [[1]], "intervals": []},
+    "beta-length": {"beta": [0.5, 0.5], "u": [1], "u_segments": [[1]],
+                    "intervals": [[], [], [], []]},
+    "interval-string": {"beta": [0.5] * 4, "u": [1], "u_segments": [[1]],
+                        "intervals": [[["a", "b"]], [], [], []]},
+    "intervals-count": {"beta": [0.5] * 4, "u": [1], "u_segments": [[1]],
+                        "intervals": []},
+}
+
+
+@pytest.mark.parametrize("doc", list(WRONG_TYPES.values()), ids=list(WRONG_TYPES))
+def test_verify_result_wrong_types_exit_one(tmp_path, ex5_file, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    assert main(["verify", "--instance", ex5_file, "--result", str(bad)]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["x", [0.5, 0.5], [[0.5], 0.5]],
+                         ids=["string", "length", "ragged"])
+def test_sda_ref_wrong_types_exit_one(tmp_path, ex5_file, capsys, beta):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"beta": beta}))
+    assert main(["sda", "--instance", ex5_file, "--iters", "10",
+                 "--ref", str(bad), "--out", str(tmp_path / "t.csv")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("beta", ["x", [0.5, 0.5], [[0.5], 0.5]],
+                         ids=["string", "length", "ragged"])
+def test_plot_data_result_wrong_types_exit_one(tmp_path, ex5_file, capsys, beta):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"beta": beta}))
+    assert main(["plot-data", "--instance", ex5_file, "--result", str(bad),
+                 "--out", str(tmp_path / "p.csv")]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_bench_bad_seeds_exits_one(capsys):
     assert main(["bench", "--grid", "3:2", "--seeds", "1,x"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -143,14 +143,25 @@ def test_partition_rejects_overrun_of_sorted_last_buyer():
     assert [p.as_pair() for p in parts] == [(0.0, 0.9), (0.9, 1.0)]
 
 
+def test_partition_cuts_buyer_with_tiny_coefficients():
+    # value 2.5e-14 on [0, 0.5] is above feasible.LAMBDA_FLOOR, so the buyer
+    # is active; its coefficients are both below 1e-12, and ``cut`` must still
+    # cut it instead of calling the piece degenerate
+    parts = partition_interval([-2e-13], [1e-13], 0.0, 0.5, [1.25e-14])
+    assert parts[0].as_pair() == (0.0, 0.5)
+    parts = partition_interval([-2e-13], [1e-13], 0.0, 0.5, [1.25e-14],
+                               remainder_to_last=False)
+    value = eval_interval(LinearPiece(-2e-13, 1e-13), parts[0])
+    assert value == pytest.approx(1.25e-14, rel=1e-9)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_greedy_cuts_properties(data):
     n = data.draw(st.integers(1, 6))
-    # endpoint densities are 0 or at least 1e-6: ``cut`` rejects a piece whose
-    # coefficients are both below market.C_EPS as degenerate, even when the
-    # segment still counts the buyer as active
-    ends = st.just(0.0) | st.floats(1e-6, 2.0)
+    # endpoint densities are 0, tiny (a buyer just above the activity floor,
+    # whose coefficients are far below 1e-12) or of order one
+    ends = st.just(0.0) | st.floats(1e-15, 1e-12) | st.floats(1e-6, 2.0)
     y0 = np.array(data.draw(st.lists(ends, min_size=n, max_size=n)))
     y1 = np.array(data.draw(st.lists(ends, min_size=n, max_size=n)))
     lo = data.draw(st.floats(0.0, 0.5))
