@@ -170,7 +170,7 @@ def _cmd_ellipsoid(args):
                     for it, fe, f, kind, vol in res.log])
     if args.out:
         _write_json(res.to_json(), args.out)
-    print(f"{res.calls} oracle calls (budget {res.call_budget}), "
+    print(f"{res.calls} oracle calls (budget {res.call_budget}), dim {res.dim}, "
           f"certified={res.certified}")
     return 0 if res.certified else 2
 

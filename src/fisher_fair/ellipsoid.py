@@ -1,23 +1,34 @@
 """Ellipsoid method on the perturbed per-segment utility program.
 
-The decision vector stacks, per instance: total utilities u_i, per-segment
-utilities useg_ik, their rescaled copies uhat_jk (sorted per segment), and
-one (s, t, z, w) quadruple per adjacent sorted pair.  All linear constraints
-are enlarged by an internal tolerance so the region contains a ball, parabola
-constraints t >= s^2 stay exact, and the objective -sum_i B_i log u_i is
-minimized by deep cuts:
+The working vector is y = (uhat, s, t): the rescaled per-segment utilities
+uhat_kj (sorted per segment, one per active buyer) and one (s, t) pair per
+adjacent sorted pair of a segment.  The rest of the program's variables are
+exact linear images of y and are not coordinates: useg_ik = lam_ik * uhat_kj,
+u_i = sum_k useg_ik and (z, w) = G(s, t); ``PerturbedSystem.expand`` returns
+them all.  The rows are the program's constraints written through those
+links:
 
-* separation oracle: most-violated enlarged linear row, else the tangent
-  hyperplane with normal (2 s0, -1) at a violated parabola pair, else
-  "inside";
-* first-order oracle: gradient components -B_i / u_i on the u coordinates.
+* u_i <= 1 and u_i >= min(B_i, eps_internal / 2), on sum_k lam_ik uhat_kj;
+* uhat >= 0;
+* the chain uhat_0 <= z_0, uhat_j <= z_j + w_(j-1), uhat_(m-1) <= 1 + w_(m-2),
+  each enlarged by eps_internal so the region contains a ball;
+* the order rows z_j + w_(j-1) >= 0 for the middle buyers (a buyer's
+  interval has nonnegative value, so the cuts stay in order);
+* the boxes 0 <= z <= 1, -1 <= w <= 0, 0 <= s <= 1 and 0 <= t <= 1;
+* the exact parabola pairs t >= s^2.
+
+The objective f(y) = -sum_i B_i log u_i is minimized by deep cuts:
+
+* separation oracle: most-violated linear row, else the tangent hyperplane
+  with normal (2 s0, -1) at a violated parabola pair, else "inside";
+* first-order oracle: the gradient E_u' (-B / u), where E_u maps y to u.
 
 Each cut keeps only the half-space its constraint implies, so it reaches past
 the center by the violation depth (Bland, Goldfarb & Todd 1981): the row
-residual, s0^2 - t0 for the tangent 2 s0 s - t <= s0^2, or f(x_c) - f_best
+residual, s0^2 - t0 for the tangent 2 s0 s - t <= s0^2, or f(y_c) - f_best
 for an objective cut, which keeps the level set {f <= f_best}.  The feasible
 set and the optimum stay inside every ellipsoid, so a running lower bound
-f(x_c) - sqrt(g' P g) from every objective cut gives a stopping certificate
+f(y_c) - sqrt(g' P g) from every objective cut gives a stopping certificate
 well before the worst-case call count; the worst-case budget (a constant
 multiple of the dimension-squared-times-log bound) still caps the loop and is
 reported.  The shape matrix P is kept as a running scalar times a matrix
@@ -42,7 +53,7 @@ from .market import Interval, MarketInstance, cut  # noqa: F401
 from .dual_solver import PureAllocation, duality_gap
 
 _CAP_MULTIPLIER = 4.0
-_EPS_MARGIN = 16.0
+_EPS_MARGIN = 256.0
 _MAX_DEPTH = 0.5              # cap on alpha: a shallower cut is still valid
 _FOLD = 32                    # rank-one downdates buffered before a fold
 _SLOP = 10.0                  # phantom utility the enlarged rows allow, in eps_internal
@@ -50,187 +61,185 @@ _SLOP = 10.0                  # phantom utility the enlarged rows allow, in eps_
 
 @dataclass
 class PerturbedSystem:
-    """Enlarged linear system A x <= b plus exact parabola pairs."""
+    """Enlarged linear system A y <= b plus exact parabola pairs, in
+    y = (uhat, s, t).
+
+    ``uhat_index`` maps (k, j) and ``aux_index`` maps ("s" | "t", k, j) to
+    positions in y; uhat fills y[:num_slots], then s and t one block each, so
+    the parabola pairs are (s_block[p], t_block[p]) for pair p.  ``slots``
+    lists (k, j, i) per uhat coordinate and ``pairs`` lists (k, j) per pair.
+    """
 
     instance: MarketInstance
     eps: float                # user-facing accuracy target
-    eps_internal: float       # per-constraint enlargement and objective target
+    eps_internal: float       # chain enlargement and objective target
     A: np.ndarray
     b: np.ndarray
-    quads: list               # (s_index, t_index) with s^2 <= t
-    u_index: np.ndarray       # indices of u_i
-    useg_index: dict          # (i, k) -> index
-    uhat_index: dict          # (k, j) -> index
-    aux_index: dict           # (name, k, j) -> index for s/t/z/w
     segments: list
     row_labels: list
     dim: int
+    slots: list               # (k, j, i) per uhat coordinate
+    pairs: list               # (k, j) per adjacent sorted pair
+    uhat_index: dict          # (k, j) -> index in y
+    aux_index: dict           # (name, k, j) -> index in y for s/t
+    u_map: np.ndarray         # (n, dim): u = u_map @ y
+    G_rows: np.ndarray        # (pairs, 4): z = a s + b t, w = c s + d t
+    num_slots: int            # y[:num_slots] is uhat
+    s_block: slice            # s of every pair, in ``pairs`` order
+    t_block: slice            # t of every pair
 
-    def objective(self, x) -> float:
-        u = x[self.u_index]
-        return float(-np.dot(self.instance.budgets, np.log(u)))
+    def expand(self, y) -> dict:
+        """Named parts of the full vector: u (n,), useg (n, K), uhat, and s,
+        t, z, w aligned with ``pairs``."""
+        y = np.asarray(y, dtype=float)
+        inst = self.instance
+        uhat = y[:self.num_slots]
+        useg = np.zeros((inst.n, inst.num_segments))
+        for p, (k, _, i) in enumerate(self.slots):
+            useg[i, k] = float(self.segments[k].lam[i]) * uhat[p]
+        s, t = y[self.s_block], y[self.t_block]
+        G = self.G_rows
+        return {"u": useg.sum(axis=1), "useg": useg, "uhat": uhat.copy(),
+                "s": s.copy(), "t": t.copy(),
+                "z": G[:, 0] * s + G[:, 1] * t, "w": G[:, 2] * s + G[:, 3] * t}
 
-    def gradient(self, x) -> np.ndarray:
-        g = np.zeros(self.dim)
-        g[self.u_index] = -self.instance.budgets / x[self.u_index]
-        return g
+    def objective(self, y) -> float:
+        return float(-np.dot(self.instance.budgets, np.log(self.u_map @ y)))
+
+    def gradient(self, y) -> np.ndarray:
+        return (-self.instance.budgets / (self.u_map @ y)) @ self.u_map
 
 
 def build_perturbed_system(instance: MarketInstance, eps: float,
                            eps_internal: float) -> PerturbedSystem:
+    """The rows of the module docstring, built directly in y."""
     n = instance.n
-    K = instance.num_segments
     e = eps_internal
-    segments = [normalize_segment(instance, k) for k in range(K)]
-    names = {}
-    dim = 0
-
-    def add(key):
-        nonlocal dim
-        names[key] = dim
-        dim += 1
-        return names[key]
-
-    u_index = np.array([add(("u", i)) for i in range(n)])
-    useg_index = {}
-    for k, seg in enumerate(segments):
-        for i in seg.active:
-            useg_index[(int(i), k)] = add(("useg", int(i), k))
-    uhat_index = {}
+    segments = [normalize_segment(instance, k) for k in range(instance.num_segments)]
+    slots = [(k, j, int(i)) for k, seg in enumerate(segments)
+             for j, i in enumerate(seg.order)]
+    pairs = [(k, j) for k, seg in enumerate(segments)
+             for j in range(seg.num_active - 1)]
+    S, P = len(slots), len(pairs)
+    dim = S + 2 * P
+    uhat_index = {(k, j): p for p, (k, j, _) in enumerate(slots)}
     aux_index = {}
-    for k, seg in enumerate(segments):
-        m = seg.num_active
-        for j in range(m):
-            uhat_index[(k, j)] = add(("uhat", k, j))
-        for j in range(m - 1):
-            for name in ("s", "t", "z", "w"):
-                aux_index[(name, k, j)] = add((name, k, j))
+    for p, (k, j) in enumerate(pairs):
+        aux_index[("s", k, j)] = S + p
+        aux_index[("t", k, j)] = S + P + p
+    u_map = np.zeros((n, dim))
+    for p, (k, _, i) in enumerate(slots):
+        u_map[i, p] = segments[k].lam[i]
+    G_rows = np.zeros((P, 4))
+    for p, (k, j) in enumerate(pairs):
+        (za, zb), (wa, wb) = segments[k].G(j)
+        G_rows[p] = za, zb, wa, wb
 
     rows = []
     rhs = []
     labels = []
 
-    def leq(cols, vals, bound, label):
+    def leq(terms, bound, label):
+        """sum of coef * y[col] over (col, coef) terms <= bound."""
         row = np.zeros(dim)
-        row[list(cols)] = vals
+        for col, coef in terms:
+            row[col] += coef
         rows.append(row)
         rhs.append(bound)
         labels.append(label)
 
+    def link(name, k, j, sign=1.0):
+        """Terms of sign * z_kj (name "z") or sign * w_kj (name "w") in y."""
+        s_i, t_i = aux_index[("s", k, j)], aux_index[("t", k, j)]
+        a, b = G_rows[s_i - S, (0, 1) if name == "z" else (2, 3)]
+        return [(s_i, sign * a), (t_i, sign * b)]
+
     B = instance.budgets
     for i in range(n):
-        leq([u_index[i]], [1.0], 1.0, f"u[{i}]<=1")
-        leq([u_index[i]], [-1.0], -min(B[i], e / 2.0), f"u[{i}]>=lb")
-        cols = [u_index[i]] + [useg_index[(i, k)] for k in range(K)
-                               if (i, k) in useg_index]
-        leq(cols, [1.0] + [-1.0] * (len(cols) - 1), e, f"usum[{i}]")
-    for (i, k), idx in useg_index.items():
-        leq([idx], [-1.0], 0.0, f"useg[{i}][{k}]>=0")
+        u_terms = [(col, u_map[i, col]) for col in np.flatnonzero(u_map[i])]
+        leq(u_terms, 1.0, f"u[{i}]<=1")
+        leq([(col, -v) for col, v in u_terms], -min(B[i], e / 2.0), f"u[{i}]>=lb")
     for k, seg in enumerate(segments):
         m = seg.num_active
-        for j, i in enumerate(seg.order):
-            ui = useg_index[(int(i), k)]
-            uh = uhat_index[(k, j)]
-            lam = float(seg.lam[i])
-            leq([ui, uh], [1.0, -lam], e, f"scale+[{k}][{j}]")
-            leq([ui, uh], [-1.0, lam], e, f"scale-[{k}][{j}]")
-            leq([uh], [-1.0], 0.0, f"uhat[{k}][{j}]>=0")
+        uh = [uhat_index[(k, j)] for j in range(m)]
+        for j in range(m):
+            leq([(uh[j], -1.0)], 0.0, f"uhat[{k}][{j}]>=0")
         if m == 1:
-            leq([uhat_index[(k, 0)]], [1.0], 1.0 + e, f"chain[{k}][0]")
-        else:
-            z = [aux_index[("z", k, j)] for j in range(m - 1)]
-            w = [aux_index[("w", k, j)] for j in range(m - 1)]
-            leq([uhat_index[(k, 0)], z[0]], [1.0, -1.0], e, f"chain[{k}][0]")
-            for j in range(1, m - 1):
-                leq([uhat_index[(k, j)], z[j], w[j - 1]], [1.0, -1.0, -1.0], e,
-                    f"chain[{k}][{j}]")
-            leq([uhat_index[(k, m - 1)], w[m - 2]], [1.0, -1.0], 1.0 + e,
-                f"chain[{k}][{m - 1}]")
-            for j in range(m - 1):
-                a, bb = seg.order[j], seg.order[j + 1]
-                s_i = aux_index[("s", k, j)]
-                t_i = aux_index[("t", k, j)]
-                da, ca = float(seg.d_hat[a]), float(seg.c_hat[a])
-                db, cb = float(seg.d_hat[bb]), float(seg.c_hat[bb])
-                leq([s_i, t_i, z[j]], [da, ca / 2, -1.0], e, f"Gz+[{k}][{j}]")
-                leq([s_i, t_i, z[j]], [-da, -ca / 2, 1.0], e, f"Gz-[{k}][{j}]")
-                leq([s_i, t_i, w[j]], [-db, -cb / 2, -1.0], e, f"Gw+[{k}][{j}]")
-                leq([s_i, t_i, w[j]], [db, cb / 2, 1.0], e, f"Gw-[{k}][{j}]")
-                leq([z[j]], [1.0], 1.0, f"z[{k}][{j}]<=1")
-                leq([z[j]], [-1.0], 0.0, f"z[{k}][{j}]>=0")
-                leq([w[j]], [1.0], 0.0, f"w[{k}][{j}]<=0")
-                leq([w[j]], [-1.0], 1.0, f"w[{k}][{j}]>=-1")
-                leq([s_i], [1.0], 1.0, f"s[{k}][{j}]<=1")
-                leq([s_i], [-1.0], 0.0, f"s[{k}][{j}]>=0")
-                leq([t_i], [1.0], 1.0, f"t[{k}][{j}]<=1")
-                leq([t_i], [-1.0], 0.0, f"t[{k}][{j}]>=0")
-    quads = [(aux_index[("s", k, j)], aux_index[("t", k, j)])
-             for k, seg in enumerate(segments) for j in range(seg.num_active - 1)]
+            leq([(uh[0], 1.0)], 1.0 + e, f"chain[{k}][0]")
+            continue
+        leq([(uh[0], 1.0)] + link("z", k, 0, -1.0), e, f"chain[{k}][0]")
+        for j in range(1, m - 1):
+            # -(value of buyer j's interval) = -(z_j + w_(j-1))
+            interval = link("z", k, j, -1.0) + link("w", k, j - 1, -1.0)
+            leq([(uh[j], 1.0)] + interval, e, f"chain[{k}][{j}]")
+            leq(interval, 0.0, f"order[{k}][{j}]")
+        leq([(uh[m - 1], 1.0)] + link("w", k, m - 2, -1.0), 1.0 + e,
+            f"chain[{k}][{m - 1}]")
+        for j in range(m - 1):
+            s_i, t_i = aux_index[("s", k, j)], aux_index[("t", k, j)]
+            leq(link("z", k, j), 1.0, f"z[{k}][{j}]<=1")
+            leq(link("z", k, j, -1.0), 0.0, f"z[{k}][{j}]>=0")
+            leq(link("w", k, j), 0.0, f"w[{k}][{j}]<=0")
+            leq(link("w", k, j, -1.0), 1.0, f"w[{k}][{j}]>=-1")
+            leq([(s_i, 1.0)], 1.0, f"s[{k}][{j}]<=1")
+            leq([(s_i, -1.0)], 0.0, f"s[{k}][{j}]>=0")
+            leq([(t_i, 1.0)], 1.0, f"t[{k}][{j}]<=1")
+            leq([(t_i, -1.0)], 0.0, f"t[{k}][{j}]>=0")
     return PerturbedSystem(
         instance=instance, eps=eps, eps_internal=e,
-        A=np.asarray(rows), b=np.asarray(rhs), quads=quads,
-        u_index=u_index, useg_index=useg_index, uhat_index=uhat_index,
-        aux_index=aux_index, segments=segments, row_labels=labels, dim=dim)
+        A=np.asarray(rows), b=np.asarray(rhs), segments=segments,
+        row_labels=labels, dim=dim, slots=slots, pairs=pairs,
+        uhat_index=uhat_index, aux_index=aux_index, u_map=u_map, G_rows=G_rows,
+        num_slots=S, s_block=slice(S, S + P), t_block=slice(S + P, dim))
 
 
 def feasible_start(system: PerturbedSystem) -> np.ndarray:
-    """Uniform-split point: every buyer gets 1/n of each segment; auxiliaries
-    come from the greedy cut points, with t nudged strictly inside the
-    parabola epigraph."""
-    inst = system.instance
-    n = inst.n
-    x = np.zeros(system.dim)
+    """Uniform-split point: every buyer gets just under 1/n of each segment
+    (strictly inside u <= 1 also for one buyer); (s, t) come from the greedy
+    cut points of 1/n each, with t nudged strictly inside the parabola
+    epigraph."""
+    n = system.instance.n
+    y = np.zeros(system.dim)
+    y[:system.num_slots] = 1.0 / n - system.eps_internal / 2.0
     for k, seg in enumerate(system.segments):
         m = seg.num_active
-        for j, i in enumerate(seg.order):
-            x[system.uhat_index[(k, j)]] = 1.0 / n
-            x[system.useg_index[(int(i), k)]] = float(seg.lam[i]) / n
         points, _, _ = greedy_cuts(seg.c_hat, seg.d_hat, seg.order,
                                    np.full(m, 1.0 / n), 0.0, 1.0)
         for j in range(m - 1):
             s_val = points[j]
-            t_val = min(s_val * s_val + system.eps_internal / 4.0, 1.0)
-            x[system.aux_index[("s", k, j)]] = s_val
-            x[system.aux_index[("t", k, j)]] = t_val
-            a, bb = seg.order[j], seg.order[j + 1]
-            x[system.aux_index[("z", k, j)]] = (seg.d_hat[a] * s_val
-                                                + 0.5 * seg.c_hat[a] * t_val)
-            x[system.aux_index[("w", k, j)]] = -(seg.d_hat[bb] * s_val
-                                                 + 0.5 * seg.c_hat[bb] * t_val)
-    for i in range(n):
-        total = sum(x[system.useg_index[(i, k)]]
-                    for k in range(inst.num_segments) if (i, k) in system.useg_index)
-        x[system.u_index[i]] = min(max(total, min(inst.budgets[i],
-                                                  system.eps_internal / 2.0)), 1.0)
-    return x
+            y[system.aux_index[("s", k, j)]] = s_val
+            y[system.aux_index[("t", k, j)]] = min(
+                s_val * s_val + system.eps_internal / 4.0, 1.0)
+    return y
 
 
-def separation_oracle(system: PerturbedSystem, x):
-    """None when x satisfies every constraint; otherwise (normal, kind, which).
+def separation_oracle(system: PerturbedSystem, y):
+    """None when y satisfies every constraint; otherwise (normal, kind, which).
 
     Linear rows return their coefficient row; a violated parabola pair
     (s0, t0) with s0^2 > t0 returns the tangent-line normal: +2 s0 on the s
     coordinate and -1 on the t coordinate.
     """
-    res = system.A @ x
+    res = system.A @ y
     res -= system.b
     worst = int(res.argmax())
     if res[worst] > 0.0:
         return system.A[worst].copy(), "linear", system.row_labels[worst]
-    xs = x.tolist()
-    for s_i, t_i in system.quads:
-        s0, t0 = xs[s_i], xs[t_i]
-        if s0 * s0 > t0:
-            g = np.zeros(system.dim)
-            g[s_i] = 2.0 * s0
-            g[t_i] = -1.0
-            return g, "quadratic", f"s^2<=t at ({s_i},{t_i})"
+    s, t = y[system.s_block], y[system.t_block]
+    viol = s * s > t
+    if viol.any():
+        p = int(viol.argmax())
+        g = np.zeros(system.dim)
+        s_i, t_i = system.s_block.start + p, system.t_block.start + p
+        g[s_i] = 2.0 * s[p]
+        g[t_i] = -1.0
+        return g, "quadratic", f"s^2<=t at ({s_i},{t_i})"
     return None
 
 
-def first_order_oracle(system: PerturbedSystem, x) -> np.ndarray:
-    """Gradient of -sum_i B_i log u_i: components -B_i / u_i on u coordinates."""
-    return system.gradient(x)
+def first_order_oracle(system: PerturbedSystem, y) -> np.ndarray:
+    """Gradient of -sum_i B_i log u_i in y: E_u' (-B / u), E_u = ``u_map``."""
+    return system.gradient(y)
 
 
 @dataclass
@@ -252,6 +261,7 @@ class EllipsoidResult:
     gap: float
     calls: int
     call_budget: int
+    dim: int
     certified: bool
     eps: float
     eps_internal: float
@@ -268,6 +278,7 @@ class EllipsoidResult:
             "objective": self.objective,
             "calls": self.calls,
             "call_budget": self.call_budget,
+            "dim": self.dim,
             "certified": self.certified,
             "eps": self.eps,
         }
@@ -275,22 +286,23 @@ class EllipsoidResult:
         return doc
 
 
-def _discounted_utilities(system: PerturbedSystem, x):
-    """Two-stage discount restoring exact per-segment membership.
+def _discounted_utilities(system: PerturbedSystem, y):
+    """Per-segment utilities lam * uhat after uhat drops by one eps_internal.
 
-    uhat drops by three internal epsilons (one chain enlargement plus the two
-    sides of the G band); useg is then capped at lam * uhat, which realizes
-    the further per-coordinate decrease.
+    Only the chain rows are enlarged; (z, w) = G(s, t), the boxes, the order
+    rows and t >= s^2 hold exactly at a point inside the region.  Dropping
+    uhat by the chain's enlargement leaves the exact chain, and clipping at
+    zero keeps it because the order rows make every buyer's z_j + w_(j-1)
+    nonnegative.  The exact chain describes the segment's feasible set: the
+    parabola point with the same w as a pair (it exists, as -1 <= w <= 0)
+    has a z at least as large, so the cuts at those points come in order and
+    give every buyer an interval worth at least its discounted uhat.  Any
+    greedy-cut failure left is roundoff, which _clip_to_membership absorbs.
     """
-    inst = system.instance
-    e3 = 3.0 * system.eps_internal
-    useg = np.zeros((inst.n, inst.num_segments))
-    for k, seg in enumerate(system.segments):
-        for j, i in enumerate(seg.order):
-            uh = max(x[system.uhat_index[(k, j)]] - e3, 0.0)
-            val = min(x[system.useg_index[(int(i), k)]], float(seg.lam[i]) * uh)
-            useg[int(i), k] = max(val, 0.0)
-    return useg
+    y = np.array(y, dtype=float)
+    S = system.num_slots
+    y[:S] = np.maximum(y[:S] - system.eps_internal, 0.0)
+    return system.expand(y)["useg"]
 
 
 def _segment_membership(seg, u_col):
@@ -318,16 +330,23 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     """Run the ellipsoid method to utility accuracy ~eps and extract a pure
     allocation; linear mode only.
 
-    The perturbation argument enlarges every linear row by eps / (2 kappa +
-    K + 1), kappa = 1 / min B: a point within that much of the enlarged
-    optimum, discounted back to exact feasibility, has an objective within
-    eps of the true optimum.  The run enlarges, and targets the objective,
-    _EPS_MARGIN times tighter, because the utilities (and with them the cut
-    points of the extracted allocation) err by about the square root of the
-    objective error.  ``certified`` holds only when the running lower bound
-    has closed to eps_internal and the returned allocation's own duality gap
-    is at most eps; the gap bounds the objective error from above, so a
-    certified result meets the perturbation argument's bound.
+    The ellipsoid runs in y = (uhat, s, t), the other variables being exact
+    linear images of y, so only the chain rows are enlarged.  The
+    perturbation argument enlarges them by eps / (2 kappa + K + 1), kappa =
+    1 / min B: a point within that much of the enlarged optimum, with uhat
+    discounted by one enlargement back to exact feasibility, loses at most
+    sum_k lam_ik times it = one enlargement of u_i per buyer, so its
+    objective is within eps of the true optimum.  The run enlarges, and
+    targets the objective, _EPS_MARGIN times tighter, because the utilities
+    (and with them the cut points of the extracted allocation) err by about
+    the square root of the objective error.  With the reduced rows a margin
+    of 16 let check_equilibrium(tol=10 eps) fail on 4 of 60 random 2x3, 3x2
+    and 3x3 instances, 64 on 2 and 256 on 1 (a documented limit, README).
+    ``certified`` holds only when
+    the running lower bound has closed to eps_internal and the returned
+    allocation's own duality gap is at most eps; the gap bounds the
+    objective error from above, so a certified result meets the perturbation
+    argument's bound.
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
@@ -339,9 +358,9 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     eps_internal = eps / (_EPS_MARGIN * (2.0 * kappa + K + 1.0))
     system = build_perturbed_system(instance, eps, eps_internal)
     d = system.dim
-    x0 = feasible_start(system)
+    y0 = feasible_start(system)
     radius = 2.0 * math.sqrt(d)
-    state = EllipsoidState(center=x0.copy())
+    state = EllipsoidState(center=y0.copy())
     V = math.log(kappa) + math.log(2.0 / eps_internal)
     r_ball = eps_internal / 2.0
     budget = int(_CAP_MULTIPLIER * 2.0 * d * (d + 1)
@@ -405,15 +424,21 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
         alpha = min(depth / denom, _MAX_DEPTH)
         tau = 2.0 * (1.0 + d * alpha) / ((d + 1) * (1.0 + alpha))
         c -= ((1.0 + d * alpha) / (d + 1)) * math.sqrt(scale / gQg) * Qg
-        np.multiply(Qg, math.sqrt(tau / gQg), out=W[rank])
-        rank += 1
-        if rank == _FOLD:
-            Q -= W.T @ W
-            rank = 0
-        grow = d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
-        scale *= grow
-        logdet_half += 0.5 * (d * math.log(grow) + math.log(
-            (d - 1) * (1.0 - alpha) / ((d + 1) * (1.0 + alpha))))
+        if d == 1:
+            # an interval: the cut keeps a (1 - alpha) / 2 share of it, and
+            # the general update's factor d^2 / (d^2 - 1) is undefined
+            scale *= 0.25 * (1.0 - alpha) ** 2
+            logdet_half += math.log(0.5 * (1.0 - alpha))
+        else:
+            np.multiply(Qg, math.sqrt(tau / gQg), out=W[rank])
+            rank += 1
+            if rank == _FOLD:
+                Q -= W.T @ W
+                rank = 0
+            grow = d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
+            scale *= grow
+            logdet_half += 0.5 * (d * math.log(grow) + math.log(
+                (d - 1) * (1.0 - alpha) / ((d + 1) * (1.0 + alpha))))
         if collect_log:
             log.append((state.iteration, int(feasible), fval, kind, logdet_half))
     certified = state.best_objective - state.lower_bound <= eps_internal
@@ -462,5 +487,5 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     return EllipsoidResult(
         u=u, useg=useg, beta=beta, allocation=allocation,
         objective=float(state.best_objective), gap=float(gap),
-        calls=state.iteration, call_budget=budget, certified=bool(certified),
+        calls=state.iteration, call_budget=budget, dim=d, certified=bool(certified),
         eps=eps, eps_internal=eps_internal, log=log)

@@ -161,17 +161,23 @@ def test_bench_parallel_pool(tmp_path, monkeypatch):
     assert len(rows) == 3  # header + two cells
 
 
-def test_ellipsoid_command_with_log(tmp_path):
+def test_ellipsoid_command_with_log(tmp_path, capsys):
     inst_path = tmp_path / "inst.json"
     main(["sample-instance", "--n", "2", "--k", "2", "--seed", "4",
           "--out", str(inst_path)])
     log = tmp_path / "log.csv"
     out = tmp_path / "eres.json"
+    capsys.readouterr()
     assert main(["ellipsoid", "--instance", str(inst_path), "--epsilon", "1e-3",
                  "--out", str(out), "--log", str(log)]) == 0
     rows = list(csv.reader(open(log)))
     assert rows[0] == ["iteration", "feasible", "objective", "cut", "volume_proxy"]
     assert len(rows) > 10
+    # 2 buyers on 2 segments: y = (uhat, s, t) has 2 * (2 + 1 + 1) coordinates
+    doc = json.loads(out.read_text())
+    assert doc["dim"] == 8
+    printed = capsys.readouterr().out
+    assert f"(budget {doc['call_budget']}), dim 8, certified=True" in printed
 
 
 def test_verify_flags_bad_result(tmp_path, ex5_file):
