@@ -20,10 +20,11 @@ the duality gap is available at every iterate.  The run has two phases:
    psi falls back once to a Polyak-sized subgradient step.
 
 Acceptance of a solution is by the certified duality gap and the
-utility-price identity of the extracted allocation, never by iteration
-count.  Allocation extraction projects the utility targets B_i / beta_i onto
-each segment's feasible set by scaling the winning per-segment utilities and
-re-cutting with the partition routine.
+utility-price identity of the allocation, never by iteration count.  The
+allocation is the winning sets at the best beta: ``pure_allocation`` cuts
+each segment greedily at the winning per-segment utilities (ties split by
+budget), which are exactly feasible, so nothing is projected or clipped.  The
+ellipsoid solver builds its allocation with the same routine.
 """
 
 from __future__ import annotations
@@ -222,49 +223,28 @@ def _envelope_hessian(instance, env, beta):
     return H
 
 
-def _extract_allocation(instance, beta, useg_win):
-    """Pure allocation from targets B_i / beta_i split across segments
-    proportionally to the winning per-segment utilities."""
-    B = instance.budgets
-    w = useg_win.sum(axis=1)
-    targets = B / beta
-    scale = np.ones(instance.n)
-    pos = w > 0
-    scale[pos] = targets[pos] / w[pos]
-    at_top = beta >= 1.0 - _BOUNDARY_SNAP
-    scale[at_top & pos] = np.minimum(scale[at_top & pos], 1.0)
-    scale = np.clip(scale, 0.0, 2.0)
-    # at convergence the winning utilities already meet the targets; snapping
-    # the factor to 1 lets the partition reproduce the winning sets exactly
-    # instead of shorting the last buyer of each segment by the residual
-    scale[np.abs(scale - 1.0) <= 1e-6] = 1.0
-    scale[~pos] = 0.0
-    goal = useg_win * scale[:, None]
-    # marginal winning slivers at imperfect beta would be re-cut into another
-    # buyer's winning region; the value lost by dropping them is below any
-    # reported tolerance
-    goal[goal < 1e-9] = 0.0
+def pure_allocation(instance: MarketInstance, useg):
+    """Pure allocation attaining exactly feasible (n, K) per-segment utilities.
+
+    One greedy partition per segment, in strict mode, so infeasible input
+    raises InfeasibleUtilities; the last buyer with a positive target takes
+    the segment's remainder.  Parts of zero length are dropped, and a segment
+    no buyer takes goes to ``leftover``.  Returns the allocation and the
+    (n, K) utilities of its intervals.
+    """
     intervals = [[] for _ in range(instance.n)]
     leftover = []
-    useg = np.zeros_like(useg_win)
+    out = np.zeros_like(useg)
     for k in range(instance.num_segments):
-        seg = instance.grid.segment(k)
-        parts = partition_segment(instance, k, goal[:, k], clamp=True)
-        kept = [(i, p) for i, p in enumerate(parts) if p.length > 1e-12]
-        if not kept:
-            leftover.append(seg)
-            continue
-        # roundoff slivers at the segment end would hand a non-winner a
-        # measure-zero slice with an O(1) pointwise price gap; extend the
-        # rightmost real piece to the boundary instead
-        right = max(range(len(kept)), key=lambda t: kept[t][1].hi)
-        i_r, p_r = kept[right]
-        kept[right] = (i_r, Interval(p_r.lo, seg.hi))
-        for i, part in kept:
-            intervals[i].append(part)
-            mid = 0.5 * (part.lo + part.hi)
-            useg[i, k] = part.length * (instance.c[i, k] * mid + instance.d[i, k])
-    return PureAllocation(intervals=intervals, leftover=leftover), useg
+        parts = partition_segment(instance, k, useg[:, k])
+        if all(part.length <= 0.0 for part in parts):
+            leftover.append(instance.grid.segment(k))
+        for i, part in enumerate(parts):
+            if part.length > 0.0:
+                intervals[i].append(part)
+                mid = 0.5 * (part.lo + part.hi)
+                out[i, k] = part.length * (instance.c[i, k] * mid + instance.d[i, k])
+    return PureAllocation(intervals=intervals, leftover=leftover), out
 
 
 def quasilinear_postprocess(instance: MarketInstance, beta, u_alloc):
@@ -302,12 +282,13 @@ def duality_gap(instance: MarketInstance, beta, psi, u):
 
 
 def allocation_from_beta(instance: MarketInstance, beta) -> EquilibriumResult:
-    """Extract a pure allocation and its gap certificate at given utility
-    prices (e.g. a stochastic average); no further optimization happens."""
+    """The winning sets at given utility prices (e.g. a stochastic average)
+    as a pure allocation, with its gap certificate; no further optimization
+    happens."""
     beta = np.clip(np.asarray(beta, dtype=float), *beta_bounds(instance))
     psi, _, useg_win, env = dual_subgradient(instance, beta)
-    useg_win = _split_winning_ties(instance, beta, useg_win)
-    allocation, useg = _extract_allocation(instance, beta, useg_win)
+    allocation, useg = pure_allocation(
+        instance, _split_winning_ties(instance, beta, useg_win))
     gap, u, delta, net = duality_gap(instance, beta, psi, useg.sum(axis=1))
     return EquilibriumResult(beta=beta, u=u, useg=useg, allocation=allocation,
                              prices=env, gap=float(gap), iterations=1,
@@ -514,21 +495,9 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
 
     beta = best_beta
     psi, g, useg_win, env = assess(beta)[:4]
-    allocation, useg = _extract_allocation(instance, beta, useg_win)
-    u_alloc = useg.sum(axis=1)
-    gap_final, u_report, delta, net = duality_gap(instance, beta, psi, u_alloc)
-    # the allocation-implied beta makes the utility-price identity exact and
-    # often carries a sharper certificate; keep whichever pair is better
-    if np.all(u_alloc > 0):
-        beta_alt = np.clip(B / u_alloc, lo, hi)
-        if not np.allclose(beta_alt, beta, rtol=0, atol=1e-15):
-            psi_alt, _, _, env_alt = assess(beta_alt)[:4]
-            gap_alt, u_alt, delta_alt, net_alt = duality_gap(instance, beta_alt,
-                                                             psi_alt, u_alloc)
-            if np.isfinite(gap_alt) and (not np.isfinite(gap_final)
-                                         or gap_alt < gap_final):
-                beta, gap_final, u_report, delta, net, env = (
-                    beta_alt, gap_alt, u_alt, delta_alt, net_alt, env_alt)
+    allocation, useg = pure_allocation(instance, useg_win)
+    gap_final, u_report, delta, net = duality_gap(instance, beta, psi,
+                                                  useg.sum(axis=1))
     result = EquilibriumResult(
         beta=beta, u=u_report, useg=useg, allocation=allocation, prices=env,
         gap=float(gap_final if np.isfinite(gap_final) else np.inf),

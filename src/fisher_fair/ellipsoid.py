@@ -35,7 +35,9 @@ reported.  The shape matrix P is kept as a running scalar times a matrix
 updated in place: each step's rank-one downdate is buffered as one row of a
 small matrix, which a single matrix product folds in every _FOLD steps.  The
 returned utilities are discounted back to exact per-segment feasibility and
-turned into a pure allocation with the greedy partition.
+turned into a pure allocation by ``dual_solver.pure_allocation``, the routine
+the dual solver uses: per segment the last buyer with a positive utility
+takes the remainder, so the allocation clears the market.
 """
 
 from __future__ import annotations
@@ -47,10 +49,11 @@ import numpy as np
 
 from .envelope import dual_objective, winning_utility_matrix
 from .errors import NumericalBreakdown, ValidationError
-from .feasible import greedy_cuts, membership, normalize_segment, partition_segment
-# cut is unused here; perfbench/spans.py patches the name ellipsoid.cut
-from .market import Interval, MarketInstance, cut  # noqa: F401
-from .dual_solver import PureAllocation, duality_gap
+# cut and partition_segment are unused here; perfbench/spans.py patches the
+# names ellipsoid.cut and ellipsoid.partition_segment
+from .feasible import greedy_cuts, membership, normalize_segment, partition_segment  # noqa: F401
+from .market import MarketInstance, cut  # noqa: F401
+from .dual_solver import PureAllocation, duality_gap, pure_allocation
 
 _CAP_MULTIPLIER = 4.0
 _EPS_MARGIN = 256.0
@@ -305,13 +308,6 @@ def _discounted_utilities(system: PerturbedSystem, y):
     return system.expand(y)["useg"]
 
 
-def _segment_membership(seg, u_col):
-    act = seg.active
-    if act.size == 0:
-        return bool(np.all(u_col <= 1e-12))
-    return membership(seg, u_col[act])
-
-
 def _clip_to_membership(seg, u_col):
     """Waterfall the column through the greedy cuts, truncating any target
     that exceeds the remaining capacity; the result is exactly feasible and
@@ -445,12 +441,10 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     if state.best_point is None:
         raise NumericalBreakdown("no feasible center was ever observed")
     useg = _discounted_utilities(system, state.best_point)
+    # pure_allocation's strict partition rejects a column still infeasible
     for k, seg in enumerate(system.segments):
-        if not _segment_membership(seg, useg[:, k]):
+        if not membership(seg, useg[seg.active, k]):
             useg[:, k] = _clip_to_membership(seg, useg[:, k])
-        if not _segment_membership(seg, useg[:, k]):
-            raise NumericalBreakdown(
-                f"discounted utilities remain infeasible on segment {k}")
     # the enlarged constraints let every u_ik carry a phantom slop of a few
     # internal epsilons even in segments the buyer does not win; a pure
     # allocation must not hand such buyers slivers of other winners' regions.
@@ -461,25 +455,7 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
         beta_rough = np.clip(B / u_rough, B, 1.0)
         wmat = winning_utility_matrix(instance, beta_rough)
         useg[(wmat <= 1e-12) & (useg <= _SLOP * eps_internal)] = 0.0
-    intervals = [[] for _ in range(instance.n)]
-    leftover = []
-    for k in range(K):
-        seg_iv = instance.grid.segment(k)
-        # exact cuts for every buyer; the epsilon-sized tail the discounted
-        # utilities do not claim stays unallocated rather than landing on a
-        # buyer that does not win it
-        parts = partition_segment(instance, k, useg[:, k], clamp=True,
-                                  remainder_to_last=False)
-        kept = [(i, p) for i, p in enumerate(parts) if p.length > 1e-12]
-        if not kept:
-            leftover.append(seg_iv)
-            continue
-        end = max(p.hi for _, p in kept)
-        if seg_iv.hi - end > 1e-12:
-            leftover.append(Interval(end, seg_iv.hi))
-        for i, p in kept:
-            intervals[i].append(p)
-    allocation = PureAllocation(intervals=intervals, leftover=leftover)
+    allocation, useg = pure_allocation(instance, useg)
     u = useg.sum(axis=1)
     beta = np.clip(B / np.maximum(u, 1e-300), B, 1.0)
     gap = duality_gap(instance, beta, dual_objective(instance, beta), u)[0]

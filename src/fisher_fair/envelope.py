@@ -97,8 +97,9 @@ def upper_envelope(instance: MarketInstance, beta) -> PiecewiseLinearFunction:
     rise strictly, so the sweep takes at most n steps.
     """
     beta = np.asarray(beta, dtype=float)
-    if beta.shape != (instance.n,) or np.any(beta <= 0):
-        raise DomainError("beta must be a positive vector, one entry per buyer")
+    # NaN fails both comparisons; a non-finite beta never closes a segment
+    if beta.shape != (instance.n,) or not np.all((beta > 0) & (beta < np.inf)):
+        raise DomainError("beta must be finite and positive, one entry per buyer")
     pts = instance.grid.points
     M = beta[:, None] * instance.c
     Q = beta[:, None] * instance.d
@@ -202,8 +203,6 @@ def winning_utilities(instance: MarketInstance, beta) -> np.ndarray:
 def dual_objective(instance: MarketInstance, beta) -> float:
     """psi(beta) = integral of the envelope minus sum_i B_i log beta_i."""
     beta = np.asarray(beta, dtype=float)
-    if np.any(beta <= 0):
-        raise DomainError("dual objective requires beta > 0")
     env = upper_envelope(instance, beta)
     return env.integral() - float(np.dot(instance.budgets, np.log(beta)))
 
@@ -215,8 +214,6 @@ def dual_subgradient(instance: MarketInstance, beta):
     smallest-index tie rule baked into the envelope owners.
     """
     beta = np.asarray(beta, dtype=float)
-    if np.any(beta <= 0):
-        raise DomainError("dual subgradient requires beta > 0")
     env = upper_envelope(instance, beta)
     U = _winning_matrix(instance, env)
     w = U.sum(axis=1)

@@ -11,8 +11,9 @@ constraint per adjacent buyer pair.  This module implements:
   coordinates; membership, partition, the constraint-block certificate and
   the ellipsoid's clipping and starting point all run it,
 * ``membership`` - an exact greedy oracle (no target truncated by the cuts),
-* ``partition_interval`` - recovery of an actual partition attaining feasible
-  utilities, in O(n log n), through the same transform,
+* ``partition_interval`` - recovery of an actual partition attaining exactly
+  feasible utilities, in O(n log n), through the same transform; the last
+  buyer with a positive target takes the remainder,
 * ``emit_conic_program`` - the full equality-form conic program (nonnegative,
   second-order and exponential cones) whose solution carries the equilibrium
   per-segment utilities, plus the ingest path back from a solution vector.
@@ -152,20 +153,15 @@ def membership(segment: NormalizedSegment, u, mem_tol: float = MEM_TOL) -> bool:
 
 
 def partition_interval(cs, ds, lo: float, hi: float, u,
-                       mem_tol: float = MEM_TOL, clamp: bool = False,
-                       remainder_to_last: bool = True):
+                       mem_tol: float = MEM_TOL):
     """Partition [lo, hi] into one interval per buyer attaining utilities u.
 
-    Buyers are processed in descending order of transformed intercept; each of
-    the first m-1 active buyers receives an interval worth exactly its u (up
-    to the cut tolerance) and the last active buyer receives the remainder
-    (or, with ``remainder_to_last=False``, an exact cut as well, leaving the
-    tail of the interval unassigned).  Inactive buyers (zero value on the
-    interval) receive empty intervals at the right endpoint.
-
-    With ``clamp=False`` an infeasible u raises InfeasibleUtilities; with
-    ``clamp=True`` cuts are truncated at ``hi`` and later buyers are shorted,
-    which allocation extraction from slightly-off utility targets relies on.
+    Buyers are cut greedily in descending order of transformed intercept,
+    each receiving an interval worth exactly its u (up to the cut
+    tolerance).  The last buyer in that order with a positive u takes the
+    remainder up to ``hi``; buyers with zero u and inactive buyers (zero
+    value on the interval) receive empty intervals.  An infeasible u raises
+    InfeasibleUtilities.
     """
     cs = np.asarray(cs, dtype=float)
     ds = np.asarray(ds, dtype=float)
@@ -173,22 +169,20 @@ def partition_interval(cs, ds, lo: float, hi: float, u,
     n = cs.size
     if ds.size != n or u.size != n:
         raise ValidationError("coefficient and utility vectors must share length")
-    _, _, _, active, order = _rescale_and_sort(cs, ds, lo, hi)
+    lam, _, _, _, order = _rescale_and_sort(cs, ds, lo, hi)
+    bad = np.flatnonzero((u > mem_tol) & (lam <= LAMBDA_FLOOR))
+    if bad.size:
+        raise InfeasibleUtilities(
+            f"buyer {int(bad[0])} has zero value on the interval but u > 0")
     out = [Interval(hi, hi)] * n
-    if not clamp:
-        bad = np.setdiff1d(np.flatnonzero(u > mem_tol), active)
-        if bad.size:
-            raise InfeasibleUtilities(
-                f"buyer {int(bad[0])} has zero value on the interval but u > 0")
-    if active.size == 0:
-        return out
     points, _, truncated = greedy_cuts(cs, ds, order, u[order], lo, hi, mem_tol)
-    if not clamp and truncated.any():
+    if truncated.any():
         raise InfeasibleUtilities(
             f"greedy cut for buyer {int(order[truncated.argmax()])} overruns "
             "the interval")
-    if remainder_to_last:
-        points[-1] = hi
+    taking = np.flatnonzero(u[order] > 0.0)
+    if taking.size:
+        points[taking[-1]:] = hi
     starts = [lo] + points[:-1].tolist()
     for i, a, b in zip(order.tolist(), starts, points.tolist()):
         out[i] = Interval(a, b)
@@ -196,13 +190,11 @@ def partition_interval(cs, ds, lo: float, hi: float, u,
 
 
 def partition_segment(instance: MarketInstance, k: int, u,
-                      mem_tol: float = MEM_TOL, clamp: bool = False,
-                      remainder_to_last: bool = True):
+                      mem_tol: float = MEM_TOL):
     """Partition grid segment k of an instance at per-buyer utilities u."""
     iv = instance.grid.segment(k)
     return partition_interval(instance.c[:, k], instance.d[:, k], iv.lo, iv.hi, u,
-                              mem_tol=mem_tol, clamp=clamp,
-                              remainder_to_last=remainder_to_last)
+                              mem_tol=mem_tol)
 
 
 # ---------------------------------------------------------------------------

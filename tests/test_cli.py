@@ -209,6 +209,10 @@ WRONG_TYPES = {
                         "intervals": [[["a", "b"]], [], [], []]},
     "intervals-count": {"beta": [0.5] * 4, "u": [1], "u_segments": [[1]],
                         "intervals": []},
+    "beta-nan": {"beta": [0.5, float("nan"), 0.5, 0.5], "u": [1],
+                 "u_segments": [[1]], "intervals": [[], [], [], []]},
+    "beta-inf": {"beta": [0.5, 0.5, float("inf"), 0.5], "u": [1],
+                 "u_segments": [[1]], "intervals": [[], [], [], []]},
 }
 
 
@@ -230,8 +234,10 @@ def test_sda_ref_wrong_types_exit_one(tmp_path, ex5_file, capsys, beta):
     assert "error:" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("beta", ["x", [0.5, 0.5], [[0.5], 0.5]],
-                         ids=["string", "length", "ragged"])
+@pytest.mark.parametrize("beta", ["x", [0.5, 0.5], [[0.5], 0.5],
+                                  [0.5, float("nan"), 0.5, 0.5],
+                                  [0.5, 0.5, float("inf"), 0.5]],
+                         ids=["string", "length", "ragged", "nan", "inf"])
 def test_plot_data_result_wrong_types_exit_one(tmp_path, ex5_file, capsys, beta):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"beta": beta}))

@@ -103,8 +103,12 @@ def test_utility_price_identity(random_instance):
 def test_each_buyer_at_most_one_interval_per_segment(random_instance):
     inst = random_instance(7, 5, seed=13)
     res = solve(inst)
+    pts = inst.grid.points
     for ivs in res.allocation.intervals:
-        assert len(ivs) <= inst.num_segments
+        segs = [int(np.searchsorted(pts, 0.5 * (iv.lo + iv.hi))) - 1 for iv in ivs]
+        for iv, k in zip(ivs, segs):
+            assert pts[k] <= iv.lo and iv.hi <= pts[k + 1]
+        assert len(segs) == len(set(segs))
 
 
 def test_quasilinear_priced_out_buyer():
@@ -177,6 +181,38 @@ def test_quasilinear_zero_utility_fails_without_warning():
         warnings.simplefilter("error", RuntimeWarning)
         res = allocation_from_beta(inst, 0.5 * (lo + hi))
     assert res.gap == np.inf
+
+
+def test_allocation_from_beta_returns_winning_sets():
+    # at any beta the allocation is the winning sets of the price envelope:
+    # every buyer's intervals sit where its scaled line is on top, and they
+    # cover the whole price mass
+    rng = np.random.default_rng(31)
+    cases = [(sample_instance(n, k, 310 + n, mode=mode), None)
+             for n, k, mode in ((3, 2, "linear"), (6, 4, "linear"),
+                                (12, 3, "linear"), (5, 3, "quasilinear"))]
+    # buyers 0 and 1 are identical and win the first segment at every beta
+    # in the box's interior
+    twins = build_instance([0.3, 0.3, 0.4], [0, 0.5, 1],
+                           [[0.4, -0.1], [0.4, -0.1], [0.2, 0.6]],
+                           [[1.6, 0.2], [1.6, 0.2], [0.1, 1.2]])
+    cases.append((twins, [0, 1]))
+    worst = 0.0
+    for inst, tied in cases:
+        lo, hi = beta_bounds(inst)
+        for _ in range(4):
+            beta = lo + rng.uniform(0.2, 0.8, inst.n) * (hi - lo)
+            if tied is not None:
+                beta[tied] = beta[tied[0]]
+            res = allocation_from_beta(inst, beta)
+            rep = check_equilibrium(inst, res.allocation, res.beta,
+                                    delta=res.delta)
+            worst = max(worst, rep.market_clear_residual,
+                        float(rep.comp_slack_residuals.max()))
+            if tied is not None:
+                # the tied buyers share their common winning region
+                assert np.all(res.u[tied] > 0)
+    assert worst <= 1e-12
 
 
 def _assert_certified_and_checked(inst):

@@ -138,6 +138,7 @@ def test_random_instance_cross_check(random_instance):
     assert np.abs(res.u - ref.u).max() <= 5 * eps
     report = check_equilibrium(inst, res.allocation, res.beta, tol=10 * eps)
     assert report.passed
+    assert report.market_clear_residual <= 1e-12
 
 
 def test_returned_utilities_exact_membership(random_instance):

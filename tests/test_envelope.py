@@ -67,8 +67,10 @@ def test_envelope_concurrent_lines_go_to_steepest():
 
 
 def test_envelope_rejects_nonpositive_beta(example5):
-    with pytest.raises(DomainError):
-        upper_envelope(example5, np.array([0.5, 0.5, 0.0, 0.5]))
+    # a NaN or infinite entry would keep a segment open forever
+    for bad in (0.0, np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            upper_envelope(example5, np.array([0.5, 0.5, bad, 0.5]))
 
 
 def test_envelope_dominance_dense(example5, random_instance):

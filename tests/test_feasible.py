@@ -117,13 +117,16 @@ def test_partition_walkthrough_golden():
     assert parts[0].length == pytest.approx(0.0, abs=1e-3)
 
 
-def test_partition_zero_utilities_leftover_to_last():
+def test_partition_zero_targets_get_empty_intervals():
     inst = build_instance([0.5, 0.5], [0, 1], [[-0.4], [0.8]], [[1.2], [0.6]])
+    # zero targets: every buyer gets an empty interval, the segment stays free
     parts = partition_segment(inst, 0, np.zeros(2))
-    # buyer 0 has the higher intercept, buyer 1 is last in sorted order and
-    # receives the whole remainder
-    assert parts[0].length == 0.0
-    assert parts[1].as_pair() == (0.0, 1.0)
+    assert all(p.length == 0.0 for p in parts)
+    # buyer 0 has the higher intercept and comes first in sorted order; as
+    # the only buyer with a positive target it takes the whole segment
+    parts = partition_segment(inst, 0, np.array([0.1, 0.0]))
+    assert parts[0].as_pair() == (0.0, 1.0)
+    assert parts[1].length == 0.0
 
 
 def test_partition_infeasible_raises():
@@ -138,9 +141,6 @@ def test_partition_rejects_overrun_of_sorted_last_buyer():
     # where only 0.1 is left
     with pytest.raises(InfeasibleUtilities):
         partition_interval([0.0, 0.0], [1.0, 1.0], 0.0, 1.0, [0.9, 0.5])
-    parts = partition_interval([0.0, 0.0], [1.0, 1.0], 0.0, 1.0, [0.9, 0.5],
-                               clamp=True)
-    assert [p.as_pair() for p in parts] == [(0.0, 0.9), (0.9, 1.0)]
 
 
 def test_partition_cuts_buyer_with_tiny_coefficients():
@@ -149,10 +149,13 @@ def test_partition_cuts_buyer_with_tiny_coefficients():
     # cut it instead of calling the piece degenerate
     parts = partition_interval([-2e-13], [1e-13], 0.0, 0.5, [1.25e-14])
     assert parts[0].as_pair() == (0.0, 0.5)
-    parts = partition_interval([-2e-13], [1e-13], 0.0, 0.5, [1.25e-14],
-                               remainder_to_last=False)
-    value = eval_interval(LinearPiece(-2e-13, 1e-13), parts[0])
+    points, delivered, truncated = greedy_cuts(
+        np.array([-2e-13]), np.array([1e-13]), np.array([0]),
+        np.array([1.25e-14]), 0.0, 0.5)
+    value = eval_interval(LinearPiece(-2e-13, 1e-13), Interval(0.0, points[0]))
+    assert not truncated[0] and points[0] < 0.5
     assert value == pytest.approx(1.25e-14, rel=1e-9)
+    assert delivered[0] == pytest.approx(1.25e-14, rel=1e-9)
 
 
 @settings(max_examples=200, deadline=None)
