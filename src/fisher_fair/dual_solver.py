@@ -22,9 +22,11 @@ the duality gap is available at every iterate.  The run has two phases:
 Acceptance of a solution is by the certified duality gap and the
 utility-price identity of the allocation, never by iteration count.  The
 allocation is the winning sets at the best beta: ``pure_allocation`` cuts
-each segment greedily at the winning per-segment utilities (ties split by
-budget), which are exactly feasible, so nothing is projected or clipped.  The
-ellipsoid solver builds its allocation with the same routine.
+each segment greedily at the winning per-segment utilities, which are
+exactly feasible, so nothing is projected or clipped.  A region where several
+scaled lines tie is split by price mass, in each buyer's own units, so the
+split stays attainable when the tied densities are proportional rather than
+equal.  The ellipsoid solver builds its allocation with the same routine.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def duality_constant(instance: MarketInstance) -> float:
 
 
 def _primal_value(instance, w):
-    """Best primal objective achievable from winning utilities w (and its delta).
+    """Best primal objective achievable from winning utilities w.
 
     Linear mode: sum_i B_i log w_i (-inf when some w_i is 0).  Quasilinear
     mode: delta_i = max(0, B_i - w_i) tops utilities up to the unconstrained
@@ -157,23 +159,24 @@ def _primal_value(instance, w):
     B = instance.budgets
     if instance.mode == QUASILINEAR:
         delta = np.maximum(B - w, 0.0)
-        ueg = w + delta
-        return float(np.dot(B, np.log(ueg)) - delta.sum()), delta
+        return float(np.dot(B, np.log(w + delta)) - delta.sum())
     if np.any(w <= 0):
-        return -np.inf, None
-    return float(np.dot(B, np.log(w))), None
+        return -np.inf
+    return float(np.dot(B, np.log(w)))
 
 
 def _split_winning_ties(instance, beta, useg, tol=1e-9):
-    """Redistribute winning mass within groups of (near-)identical scaled lines.
+    """Share each tied region among the buyers whose scaled lines tie there.
 
-    The smallest-index tie rule hands a whole tied region to one buyer, which
-    is a valid subgradient selection but a useless primal: tied buyers with
-    positive budgets would be stuck at zero utility.  Within each group of
-    buyers whose scaled densities coincide on a segment (up to ``tol``), any
-    split of the group's winnings is attainable, so share them in proportion
-    to budgets, matching the equilibrium identity u_i = B_i / beta_i for
-    equal betas.  Returns a rebalanced copy (or the input when no ties).
+    The smallest-index tie rule hands a whole tied region to one buyer, a
+    valid subgradient selection but a useless primal.  Within a group of
+    buyers whose scaled lines beta_i v_i coincide on a segment (up to
+    ``tol``), a share m_i of the region's price mass is worth m_i / beta_i to
+    buyer i.  Shares go by the budget each member has left after its untied
+    winnings and earlier groups (quasilinear buyers below the price cap
+    first), the rest by budget; each is cut by how far the member's line can
+    sit under the group's top line, so it stays attainable.  Returns a
+    rebalanced copy (or the input when no ties).
     """
     M = beta[:, None] * instance.c
     Q = beta[:, None] * instance.d
@@ -182,21 +185,37 @@ def _split_winning_ties(instance, beta, useg, tol=1e-9):
     ms, qs = M[order, at], Q[order, at]
     close = (np.abs(np.diff(ms, axis=0)) <= tol * (1.0 + np.abs(ms[:-1]))) & (
         np.abs(np.diff(qs, axis=0)) <= tol * (1.0 + np.abs(qs[:-1])))
-    B = instance.budgets
-    out = None
+    out = useg.copy()
+    groups = []
     for k in np.flatnonzero(close.any(axis=0)):
         bounds = np.concatenate([[0], np.flatnonzero(~close[:, k]) + 1, [instance.n]])
         for start, stop in zip(bounds[:-1], bounds[1:]):
             group = order[start:stop, k]
-            if group.size < 2:
-                continue
-            mass = useg[group, k].sum()
-            if mass <= 0.0:
-                continue
-            if out is None:
-                out = useg.copy()
-            out[group, k] = mass * (B[group] / B[group].sum())
-    return useg if out is None else out
+            if group.size >= 2 and useg[group, k].sum() > 0.0:
+                groups.append((k, group))
+                out[group, k] = 0.0
+    if not groups:
+        return useg
+    B = instance.budgets
+    unmet = np.maximum(B - beta * out.sum(axis=1), 0.0)
+    capped = (instance.mode == QUASILINEAR) & (beta >= 1.0 - _BOUNDARY_SNAP)
+    pts = instance.grid.points
+    for k, group in groups:
+        mass = float(np.dot(beta[group], useg[group, k]))
+        share = np.zeros(group.size)
+        for want in (np.where(capped[group], 0.0, unmet[group]),
+                     np.where(capped[group], unmet[group], 0.0)):
+            take = min(mass, float(want.sum()))
+            if take > 0.0:
+                share += take * (want / want.sum())
+                mass -= take
+        share += mass * (B[group] / B[group].sum())
+        unmet[group] = np.maximum(unmet[group] - share, 0.0)
+        lines = np.outer(M[group, k], pts[k:k + 2]) + Q[group, k][:, None]
+        below = (lines.max(axis=0) - lines).max(axis=1)
+        out[group, k] = np.maximum(share - below * (pts[k + 1] - pts[k]),
+                                   0.0) / beta[group]
+    return out
 
 
 def _envelope_hessian(instance, env, beta):
@@ -277,7 +296,7 @@ def duality_gap(instance: MarketInstance, beta, psi, u):
         with np.errstate(divide="ignore"):
             primal = float(np.dot(instance.budgets, np.log(u)) - delta.sum())
     else:
-        primal, _ = _primal_value(instance, u)
+        primal = _primal_value(instance, u)
     return psi - (primal + duality_constant(instance)), u, delta, net
 
 
@@ -436,7 +455,7 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
         evals += 1
         useg = _split_winning_ties(instance, b, useg)
         g = useg.sum(axis=1) - instance.budgets / b
-        primal, _ = _primal_value(instance, useg.sum(axis=1))
+        primal = _primal_value(instance, useg.sum(axis=1))
         best_bound = max(best_bound, primal + C)
         gap = psi - best_bound
         gn = float(np.abs(np.where(_held(b, g, lo, hi), 0.0, g)).max())

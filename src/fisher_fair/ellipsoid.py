@@ -35,9 +35,8 @@ reported.  The shape matrix P is kept as a running scalar times a matrix
 updated in place: each step's rank-one downdate is buffered as one row of a
 small matrix, which a single matrix product folds in every _FOLD steps.  The
 returned utilities are discounted back to exact per-segment feasibility and
-turned into a pure allocation by ``dual_solver.pure_allocation``, the routine
-the dual solver uses: per segment the last buyer with a positive utility
-takes the remainder, so the allocation clears the market.
+turned into a pure allocation by ``dual_solver.pure_allocation``, whose
+remainder rule (the last buyer with a positive utility) clears the market.
 """
 
 from __future__ import annotations
@@ -204,15 +203,13 @@ def feasible_start(system: PerturbedSystem) -> np.ndarray:
     n = system.instance.n
     y = np.zeros(system.dim)
     y[:system.num_slots] = 1.0 / n - system.eps_internal / 2.0
-    for k, seg in enumerate(system.segments):
-        m = seg.num_active
+    s = []
+    for seg in system.segments:
         points, _, _ = greedy_cuts(seg.c_hat, seg.d_hat, seg.order,
-                                   np.full(m, 1.0 / n), 0.0, 1.0)
-        for j in range(m - 1):
-            s_val = points[j]
-            y[system.aux_index[("s", k, j)]] = s_val
-            y[system.aux_index[("t", k, j)]] = min(
-                s_val * s_val + system.eps_internal / 4.0, 1.0)
+                                   np.full(seg.num_active, 1.0 / n), 0.0, 1.0)
+        s.extend(points[:-1])
+    y[system.s_block] = s
+    y[system.t_block] = np.minimum(np.square(s) + system.eps_internal / 4.0, 1.0)
     return y
 
 

@@ -152,8 +152,7 @@ def membership(segment: NormalizedSegment, u, mem_tol: float = MEM_TOL) -> bool:
     return not truncated.any()
 
 
-def partition_interval(cs, ds, lo: float, hi: float, u,
-                       mem_tol: float = MEM_TOL):
+def partition_interval(cs, ds, lo: float, hi: float, u):
     """Partition [lo, hi] into one interval per buyer attaining utilities u.
 
     Buyers are cut greedily in descending order of transformed intercept,
@@ -170,12 +169,12 @@ def partition_interval(cs, ds, lo: float, hi: float, u,
     if ds.size != n or u.size != n:
         raise ValidationError("coefficient and utility vectors must share length")
     lam, _, _, _, order = _rescale_and_sort(cs, ds, lo, hi)
-    bad = np.flatnonzero((u > mem_tol) & (lam <= LAMBDA_FLOOR))
+    bad = np.flatnonzero((u > MEM_TOL) & (lam <= LAMBDA_FLOOR))
     if bad.size:
         raise InfeasibleUtilities(
             f"buyer {int(bad[0])} has zero value on the interval but u > 0")
     out = [Interval(hi, hi)] * n
-    points, _, truncated = greedy_cuts(cs, ds, order, u[order], lo, hi, mem_tol)
+    points, _, truncated = greedy_cuts(cs, ds, order, u[order], lo, hi)
     if truncated.any():
         raise InfeasibleUtilities(
             f"greedy cut for buyer {int(order[truncated.argmax()])} overruns "
@@ -189,12 +188,10 @@ def partition_interval(cs, ds, lo: float, hi: float, u,
     return out
 
 
-def partition_segment(instance: MarketInstance, k: int, u,
-                      mem_tol: float = MEM_TOL):
+def partition_segment(instance: MarketInstance, k: int, u):
     """Partition grid segment k of an instance at per-buyer utilities u."""
     iv = instance.grid.segment(k)
-    return partition_interval(instance.c[:, k], instance.d[:, k], iv.lo, iv.hi, u,
-                              mem_tol=mem_tol)
+    return partition_interval(instance.c[:, k], instance.d[:, k], iv.lo, iv.hi, u)
 
 
 # ---------------------------------------------------------------------------
@@ -447,20 +444,12 @@ def segment_feasibility_certificate(segment: NormalizedSegment, u,
                           0.0, 1.0, mem_tol)
     s = s[:max(m - 1, 0)]
     t = s ** 2
-    z = np.zeros(max(m - 1, 0))
-    w = np.zeros(max(m - 1, 0))
-    for j in range(m - 1):
-        zj, wj = segment.G(j) @ np.array([s[j], t[j]])
-        z[j], w[j] = zj, wj
-    ok = bool(np.all(u >= -mem_tol))
-    if m == 1:
-        ok = ok and uhat[0] <= 1.0 + mem_tol
-    elif m > 1:
-        ok = ok and uhat[0] <= z[0] + mem_tol
-        for j in range(1, m - 1):
-            ok = ok and uhat[j] <= z[j] + w[j - 1] + mem_tol
-        ok = ok and uhat[m - 1] <= 1.0 + w[m - 2] + mem_tol
-        ok = ok and bool(np.all(z >= -mem_tol) and np.all(z <= 1 + mem_tol))
-        ok = ok and bool(np.all(w >= -1 - mem_tol) and np.all(w <= mem_tol))
-        ok = ok and bool(np.all(z + w >= -mem_tol))
+    z, w = np.array([segment.G(j) @ np.array([s[j], t[j]])
+                     for j in range(m - 1)]).reshape(-1, 2).T
+    # chain: uhat_1 <= z_1, uhat_j <= z_j + w_(j-1), uhat_m <= 1 + w_(m-1)
+    chain = np.append(z, 1.0) + np.insert(w, 0, 0.0)
+    ok = bool(np.all(u >= -mem_tol) and np.all(uhat <= chain + mem_tol)
+              and np.all(z >= -mem_tol) and np.all(z <= 1 + mem_tol)
+              and np.all(w >= -1 - mem_tol) and np.all(w <= mem_tol)
+              and np.all(z + w >= -mem_tol))
     return ok, {"uhat": uhat, "s": s, "t": t, "z": z, "w": w}

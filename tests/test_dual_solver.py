@@ -50,6 +50,33 @@ def test_symmetric_buyers_split_equally():
     assert res.u[1] == pytest.approx(0.5, abs=1e-9)
 
 
+# buyers whose densities are proportional on a segment tie there with
+# different betas; the tie split must stay attainable in each buyer's units
+# (instance, equilibrium beta, utilities of the allocated intervals)
+PROPORTIONAL_TIES = [
+    # equilibrium beta = (0.5, 1): both buyers' scaled lines are 1 on
+    # segment 0, which buyer 0 must take whole
+    (build_instance([0.5, 0.5], [0, 0.5, 1], [[0, 0], [0, 0]],
+                    [[2, 0], [1, 1]]), [0.5, 1.0], [1.0, 0.5]),
+    # quasilinear, v_1 = 2 v_0 on all of [0, 1]: buyer 0 sits at the price
+    # cap beta = 1 and buyer 1, which must spend its budget, takes it all
+    (build_instance([0.5, 0.5], [0, 1], [[0.4], [0.8]], [[0.3], [0.6]],
+                    mode="quasilinear"), [1.0, 0.5], [0.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("inst,beta,u", PROPORTIONAL_TIES,
+                         ids=["linear", "quasilinear"])
+def test_proportional_buyers_tie_split(inst, beta, u):
+    for res in (solve(inst), allocation_from_beta(inst, beta)):
+        assert res.gap <= 1e-8
+        assert np.allclose(res.beta, beta, atol=1e-7)
+        assert np.allclose(res.useg.sum(axis=1), u, atol=1e-7)
+        report = check_equilibrium(inst, res.allocation, res.beta, tol=1e-6,
+                                   delta=res.delta)
+        assert report.passed, report.to_json()
+
+
 def test_duality_sandwich_every_iterate(example5):
     # weak duality: the primal bound never exceeds the dual value, so the
     # recorded best gap stays nonnegative and is nonincreasing
