@@ -8,8 +8,9 @@ files that lack a required key or hold a value of the wrong type or shape,
 and malformed ``bench`` arguments, 2 solver
 finished without a certificate (the best iterate is still written).
 ``bench`` times each (n, k, seed) cell as the fastest of three build+solve
-runs and parallelizes across grid cells; FISHER_FAIR_THREADS caps the
-process pool.
+runs, appends the evaluation and envelope-piece counts of those runs summed
+over the seeds, and parallelizes across grid cells; FISHER_FAIR_THREADS caps
+the process pool.
 """
 
 from __future__ import annotations
@@ -206,8 +207,8 @@ def _cmd_plot_data(args):
 
 
 def _bench_cell(task):
-    """(n, k, seed, build s, solve s) of the fastest of _BENCH_REPEATS
-    build+solve runs of one cell."""
+    """(n, k, seed, build s, solve s, evaluations, envelope pieces) of the
+    fastest of _BENCH_REPEATS build+solve runs of one cell."""
     n, k, seed, gap_tol = task
     best = None
     for _ in range(_BENCH_REPEATS):
@@ -215,12 +216,13 @@ def _bench_cell(task):
         instance = load_instance(sample_document(n, k, seed))
         t1 = time.perf_counter()
         try:
-            solve(instance, SolveConfig(gap_tol=gap_tol))
-        except NotConverged:
-            pass
+            result = solve(instance, SolveConfig(gap_tol=gap_tol))
+        except NotConverged as exc:
+            result = exc.result
         t2 = time.perf_counter()
-        if best is None or t2 - t0 < sum(best):
-            best = (t1 - t0, t2 - t1)
+        if best is None or t2 - t0 < best[0] + best[1]:
+            best = (t1 - t0, t2 - t1, result.iterations,
+                    result.prices.num_pieces)
     return (n, k, seed) + best
 
 
@@ -252,8 +254,8 @@ def _cmd_bench(args):
         else:
             results = [_bench_cell(t) for t in tasks]
     cells = {}
-    for n, k, _, tb, ts in results:
-        cells.setdefault((n, k), []).append((tb, ts))
+    for n, k, _, *sample in results:
+        cells.setdefault((n, k), []).append(sample)
     rows = []
     for (n, k), samples in sorted(cells.items()):
         build = np.array([s[0] for s in samples])
@@ -262,10 +264,11 @@ def _cmd_bench(args):
         rows.append([n, k, len(samples),
                      float(build.mean()), _stderr(build),
                      float(slv.mean()), _stderr(slv),
-                     float(total.mean()), _stderr(total)])
+                     float(total.mean()), _stderr(total),
+                     sum(s[2] for s in samples), sum(s[3] for s in samples)])
     _write_csv(args.out, ["n", "k", "samples", "build_mean", "build_stderr",
                           "solve_mean", "solve_stderr", "total_mean",
-                          "total_stderr"], rows)
+                          "total_stderr", "evals", "pieces"], rows)
     return 0
 
 

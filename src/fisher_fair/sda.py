@@ -2,22 +2,30 @@
 
 Each round draws one item location uniformly, charges the whole stochastic
 subgradient to the buyer whose scaled density wins there (smallest index on
-ties), and re-solves the regularized model in closed form:
+ties), and re-solves the regularized model in closed form.  With G_t the
+running sum of the winning values each buyer has been charged after t
+samples, the iterate that scores sample t + 1 is
 
-    gbar_t = ((t-1) gbar_{t-1} + g_t) / t
-    beta_{t+1, i} = clamp(B_i / gbar_{t, i}, lower_i, 1)
+    beta_{t+1, i} = clamp(B_i t / G_{t, i}, lower_i, upper_i),
 
-A buyer never yet sampled as winner has gbar_i = 0 and maps to the upper
-bound 1.  Traces record the iterate and the uniform average beta_tilde at
+the same iterate as clamp(B_i / gbar_{t, i}) with gbar_t = G_t / t the
+averaged subgradient.  The loop keeps ``ratio = B / G``: one sample changes
+one coordinate of G and of ratio, so a step is a multiply, a clamp and an
+argmax on n-vectors.  A buyer that has not won yet has ratio inf and sits at
+its upper bound.  Sample locations and their values are drawn and built in
+blocks of ``_BLOCK`` rows, so memory is O(_BLOCK * n) whatever the number of
+samples.  Traces record the iterate and the uniform average beta_tilde at
 power-of-two checkpoints; with a reference vector the squared error of the
 average is recorded too, and ``mse_theory_bound`` evaluates the guarantee
-curve (6(1+log t) + (log t)^2 / 2) / t * G^2 / sigma^2 that the empirical
-mean-squared error is compared against.
+curve (6(1+log t) + (log t)^2 / 2) / t * G_max^2 / sigma^2, with G_max from
+``subgradient_bound``, that the empirical mean-squared error is compared
+against.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,6 +59,10 @@ class SdaTrace:
         return header, rows
 
 
+# samples drawn and valued at once; bounds memory at O(_BLOCK * n)
+_BLOCK = 512
+
+
 def _checkpoint_list(iters):
     pts = []
     t = 1
@@ -82,41 +94,55 @@ def mse_theory_bound(instance: MarketInstance, t) -> np.ndarray:
 def sda_run(instance: MarketInstance, iters: int, seed: int,
             beta_ref=None) -> SdaTrace:
     """One stochastic dual averaging run; bit-reproducible per seed."""
-    if iters < 1:
-        raise ValidationError("iters must be >= 1")
+    if (not isinstance(iters, numbers.Integral) or isinstance(iters, bool)
+            or iters < 1):
+        raise ValidationError(f"iters must be an integer >= 1, got {iters!r}")
+    iters = int(iters)
     n = instance.n
-    B = instance.budgets
     lower, upper = beta_bounds(instance)
+    ct, dt = instance.c.T, instance.d.T
     rng = np.random.default_rng(seed)
-    thetas = rng.random(iters)
-    seg = instance.grid.locate(thetas)
-    values = instance.c[:, seg] * thetas[None, :] + instance.d[:, seg]  # (n, T)
     checkpoints = _checkpoint_list(iters)
-    want = {int(t): r for r, t in enumerate(checkpoints)}
-    beta = upper.copy()
-    gbar = np.zeros(n)
+    # one coordinate changes per sample, and a list item is cheaper to
+    # read and write than an array element
+    G = [0.0] * n
+    Bl = instance.budgets.tolist()
+    ratio = np.full(n, np.inf)
     beta_sum = np.zeros(n)
+    # row j scores the block's sample j; row m is the iterate after the block
+    betas = np.empty((_BLOCK + 1, n))
+    betas[0] = upper
+    rows = list(betas)
     out_beta = np.zeros((checkpoints.size, n))
     out_avg = np.zeros((checkpoints.size, n))
     ref = None if beta_ref is None else np.asarray(beta_ref, dtype=float)
     sq = np.zeros(checkpoints.size) if ref is not None else None
-    for t in range(1, iters + 1):
-        col = values[:, t - 1]
-        winner = int(np.argmax(beta * col))
-        beta_sum += beta
-        gbar *= (t - 1) / t
-        gbar[winner] += col[winner] / t
-        with np.errstate(divide="ignore"):
-            beta = np.where(gbar > 0.0, np.minimum(np.maximum(B / gbar, lower),
-                                                   upper), upper)
-        r = want.get(t)
-        if r is not None:
-            out_beta[r] = beta
-            avg = beta_sum / t
-            out_avg[r] = avg
-            if sq is not None:
-                diff = avg - ref
-                sq[r] = float(np.dot(diff, diff))
+    t = 0
+    for r, stop in enumerate(checkpoints):
+        while t < stop:
+            m = min(_BLOCK, int(stop) - t)
+            thetas = rng.random(m)
+            seg = instance.grid.locate(thetas)
+            values = ct[seg] * thetas[:, None] + dt[seg]  # (m, n)
+            for j, vals in enumerate(values):
+                w = (rows[j] * vals).argmax()
+                g = G[w] + vals.item(w)
+                G[w] = g
+                # no positive winnings yet (a zero-valued sample): stay at upper
+                ratio[w] = Bl[w] / g if g > 0.0 else math.inf
+                row = rows[j + 1]
+                np.multiply(ratio, t + j + 1, out=row)
+                np.minimum(row, upper, out=row)
+                np.maximum(row, lower, out=row)
+            beta_sum += betas[:m].sum(axis=0)
+            betas[0] = betas[m]
+            t += m
+        out_beta[r] = betas[0]
+        avg = beta_sum / t
+        out_avg[r] = avg
+        if sq is not None:
+            diff = avg - ref
+            sq[r] = float(np.dot(diff, diff))
     return SdaTrace(seed=seed, iterations=iters, checkpoints=checkpoints,
                     beta=out_beta, beta_avg=out_avg, sq_err=sq)
 

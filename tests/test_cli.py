@@ -145,6 +145,19 @@ def test_bench_csv_shape(tmp_path, monkeypatch):
     assert rows[1][:3] == ["3", "2", "3"]
 
 
+def test_bench_work_columns(tmp_path, monkeypatch):
+    monkeypatch.setenv("FISHER_FAIR_THREADS", "1")
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--grid", "3,4:2", "--seeds", "1,2",
+                 "--out", str(out)]) == 0
+    rows = list(csv.reader(open(out)))
+    assert rows[0][-2:] == ["evals", "pieces"]
+    assert len(rows) == 3
+    for row in rows[1:]:
+        for value in row[-2:]:
+            assert value.isdigit() and int(value) > 0
+
+
 def test_bench_empty_grid(tmp_path):
     out = tmp_path / "empty.csv"
     assert main(["bench", "--grid", ":", "--seeds", "1", "--out", str(out)]) == 0

@@ -1,10 +1,107 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
 from fisher_fair import build_instance, solve, winning_utilities
 from fisher_fair.envelope import beta_bounds
-from fisher_fair.sda import mse_curve, mse_theory_bound, sda_run, subgradient_bound
-from tests.conftest import EX5_BETA
+from fisher_fair.errors import ValidationError
+from fisher_fair.market import load_instance
+from fisher_fair.sampling import sample_instance
+from fisher_fair.sda import (
+    _BLOCK,
+    _checkpoint_list,
+    mse_curve,
+    mse_theory_bound,
+    sda_run,
+    subgradient_bound,
+)
+from tests.conftest import EX5_BETA, example5_document
+
+
+def _reference_sda(instance, iters, seed):
+    """The per-sample loop the streamed ``sda_run`` replaced: all T sample
+    values at once as an (n, T) array, and the averaged subgradient gbar
+    rescaled every sample.  Returns (checkpoints, beta, beta_avg)."""
+    n = instance.n
+    B = instance.budgets
+    lower, upper = beta_bounds(instance)
+    rng = np.random.default_rng(seed)
+    thetas = rng.random(iters)
+    seg = instance.grid.locate(thetas)
+    values = instance.c[:, seg] * thetas[None, :] + instance.d[:, seg]
+    checkpoints = _checkpoint_list(iters)
+    want = {int(t): r for r, t in enumerate(checkpoints)}
+    beta = upper.copy()
+    gbar = np.zeros(n)
+    beta_sum = np.zeros(n)
+    out_beta = np.zeros((checkpoints.size, n))
+    out_avg = np.zeros((checkpoints.size, n))
+    for t in range(1, iters + 1):
+        col = values[:, t - 1]
+        winner = int(np.argmax(beta * col))
+        beta_sum += beta
+        gbar *= (t - 1) / t
+        gbar[winner] += col[winner] / t
+        with np.errstate(divide="ignore"):
+            beta = np.where(gbar > 0.0, np.minimum(np.maximum(B / gbar, lower),
+                                                   upper), upper)
+        r = want.get(t)
+        if r is not None:
+            out_beta[r] = beta
+            out_avg[r] = beta_sum / t
+    return checkpoints, out_beta, out_avg
+
+
+_EQUIVALENCE_INSTANCES = {
+    "example5": lambda: load_instance(example5_document()),
+    "quasilinear_6x3": lambda: sample_instance(6, 3, seed=21, mode="quasilinear"),
+    "linear_300x5": lambda: sample_instance(300, 5, seed=22),
+    # both buyers value [0.5, 1] at zero, so some samples charge nothing
+    "zero_values": lambda: build_instance([0.5, 0.5], [0, 0.5, 1],
+                                          [[0, 0], [-1, 0]], [[1, 0], [1, 0]]),
+}
+
+
+@pytest.mark.parametrize("iters", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   3 * _BLOCK + 7])
+@pytest.mark.parametrize("name", sorted(_EQUIVALENCE_INSTANCES))
+def test_matches_reference_loop(name, iters):
+    inst = _EQUIVALENCE_INSTANCES[name]()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = sda_run(inst, iters, seed=5)
+    checkpoints, beta, beta_avg = _reference_sda(inst, iters, seed=5)
+    assert np.array_equal(trace.checkpoints, checkpoints)
+    assert np.allclose(trace.beta, beta, rtol=0.0, atol=1e-12)
+    assert np.allclose(trace.beta_avg, beta_avg, rtol=0.0, atol=1e-12)
+
+
+def test_memory_independent_of_iters():
+    # an (n, T) array of sample values alone would take 48 MB here
+    inst = sample_instance(300, 5, seed=1)
+    tracemalloc.start()
+    try:
+        sda_run(inst, 20_000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
+
+
+@pytest.mark.parametrize("iters", [0, -3, 2.5, True, False, "10", None,
+                                   np.float64(4.0)])
+def test_bad_iters_raise_validation_error(example5, iters):
+    with pytest.raises(ValidationError, match="iters"):
+        sda_run(example5, iters, seed=0)
+
+
+def test_numpy_integer_iters(example5):
+    a = sda_run(example5, np.int64(100), seed=2)
+    b = sda_run(example5, 100, seed=2)
+    assert a.iterations == 100 and type(a.iterations) is int
+    assert np.array_equal(a.beta_avg, b.beta_avg)
 
 
 def test_subgradient_bound_example5(example5):
