@@ -10,7 +10,10 @@ the duality gap is available at every iterate.  The run has two phases:
    split into equal cells, the max on each cell is replaced by
    mu log sum_i exp(beta_i v_i(midpoint) / mu), and projected Newton
    minimizes that smooth dual over the box for a falling sequence of mu;
-   it costs no exact envelope evaluation,
+   it costs no exact envelope evaluation.  The cell densities are built once
+   per solve, and each evaluation of the smooth dual is one pass over all
+   cells, with exponents clamped where their weight is far below roundoff so
+   that exp never underflows,
 2. projected Newton on the exact dual from that point: the envelope crossing
    points depend smoothly on beta, so the winning-utility Jacobian (the
    Hessian of the envelope integral) is available in closed form piece by
@@ -48,14 +51,16 @@ _BOUNDARY_SNAP = 1e-12    # beta this close to a box face counts as active
 _IDENTITY_TOL = 1e-7      # |u_i - B_i / beta_i| a certified result may keep
 # smoothed warm start: cells per segment max(_CELLS_MIN, ceil(_CELLS_TOTAL / K)),
 # smoothing levels mu, at most _SMOOTH_ITERS Newton steps per level, a level
-# ending once the Newton decrement is below _SMOOTH_DECREMENT * mu, and cells
-# per block of the cell sweep
+# ending once the Newton decrement is below _SMOOTH_DECREMENT * mu; a softmax
+# exponent relative to its cell's top is clamped at _EXP_FLOOR (weight e^-60,
+# about 1e-26) before exp, and a buyer whose weight is below _SOFTMAX_FLOOR on
+# every cell is left out of the Hessian's rank-one terms
 _CELLS_MIN = 8
 _CELLS_TOTAL = 320
 _SMOOTH_MUS = tuple(3e-2 * 0.5 ** i for i in range(9))
 _SMOOTH_ITERS = 30
 _SMOOTH_DECREMENT = 1e-2
-_CELL_BLOCK = 128
+_EXP_FLOOR = -60.0
 _SOFTMAX_FLOOR = 1e-12
 # the exact Newton phase adds the smoothed Hessian at mu = _CURVATURE_MU for
 # up to 100 buyers, shrinking like 1/n beyond (the gaps between the top scaled
@@ -316,27 +321,20 @@ def allocation_from_beta(instance: MarketInstance, beta) -> EquilibriumResult:
 
 
 def _smoothing_cells(instance):
-    """(segment, midpoint, width) of every cell: each grid segment split into
-    max(_CELLS_MIN, ceil(_CELLS_TOTAL / K)) equal cells."""
+    """(widths, densities) of the smoothing cells, built once per solve: each
+    grid segment is split into max(_CELLS_MIN, ceil(_CELLS_TOTAL / K)) equal
+    cells, and the densities are the n x cells matrix of v_i at the cell
+    midpoints."""
     K = instance.num_segments
     S = max(_CELLS_MIN, -(-_CELLS_TOTAL // K))
     pts = instance.grid.points
     width = np.diff(pts) / S
     seg = np.repeat(np.arange(K), S)
     mid = pts[seg] + (np.tile(np.arange(S), K) + 0.5) * width[seg]
-    return seg, mid, width[seg]
-
-
-def _cell_densities(instance, cells):
-    """(widths, densities) of the cells, _CELL_BLOCK cells at a time: the
-    densities are the n x block matrix of v_i at the cell midpoints."""
-    seg, mid, wt = cells
-    for s in range(0, seg.size, _CELL_BLOCK):
-        k = seg[s:s + _CELL_BLOCK]
-        V = instance.c[:, k]
-        V *= mid[s:s + _CELL_BLOCK]
-        V += instance.d[:, k]
-        yield wt[s:s + _CELL_BLOCK], V
+    V = instance.c[:, seg]
+    V *= mid
+    V += instance.d[:, seg]
+    return width[seg], V
 
 
 def _smoothed_dual(instance, cells, beta, mu, hessian=True):
@@ -347,32 +345,40 @@ def _smoothed_dual(instance, cells, beta, mu, hessian=True):
     H = sum_j (w_j / mu) [diag(s_j v_j^2) - (s_j v_j)(s_j v_j)^T] + diag(B / beta^2),
 
     with v_ij buyer i's density at cell j's midpoint and s_j the softmax of
-    beta * v_j / mu.  Temporaries stay n x _CELL_BLOCK, and the rank-one
-    terms skip buyers whose softmax weight is negligible on a whole block.
+    beta * v_j / mu, in one pass over all cells.  An exponent more than
+    -_EXP_FLOOR below its cell's top is clamped there, so exp never
+    underflows; such a weight is below _SOFTMAX_FLOOR and far below roundoff
+    in f and g.  The rank-one terms skip buyers whose weight is below
+    _SOFTMAX_FLOOR on every cell.
     """
+    w, V = cells
     B = instance.budgets
-    f = -float(np.dot(B, np.log(beta)))
-    g = -B / beta
-    H = np.diag(B / beta ** 2) if hessian else None
-    scale = beta[:, None] / mu
-    for w, V in _cell_densities(instance, cells):
-        Z = V * scale
-        zmax = Z.max(axis=0)
-        Z -= zmax
-        np.exp(Z, out=Z)
-        tot = Z.sum(axis=0)
-        f += mu * float(np.dot(w, zmax + np.log(tot)))
-        Z *= w / tot                  # w_j s_ij
-        if hessian:
-            # a buyer whose weight is below _SOFTMAX_FLOOR on every cell of
-            # the block changes no rank-one term measurably
-            rows = np.flatnonzero((Z > _SOFTMAX_FLOOR * w).any(axis=1))
-        Z *= V                        # w_j s_ij v_ij
-        g += Z.sum(axis=1)
-        if hessian:
-            H[np.diag_indices_from(H)] += np.einsum("ij,ij->i", Z, V) / mu
-            A = Z[rows] / np.sqrt(w * mu)     # sqrt(w_j / mu) s_ij v_ij
-            H[np.ix_(rows, rows)] -= A @ A.T
+    Z = V * (beta[:, None] / mu)
+    zmax = Z.max(axis=0)
+    Z -= zmax
+    np.maximum(Z, _EXP_FLOOR, out=Z)
+    np.exp(Z, out=Z)
+    tot = Z.sum(axis=0)
+    f = mu * float(np.dot(w, zmax + np.log(tot))) - float(np.dot(B, np.log(beta)))
+    Z *= 1.0 / tot                    # s_ij
+    if hessian:
+        rows = np.flatnonzero(Z.max(axis=1) > _SOFTMAX_FLOOR)
+    Z *= V
+    Z *= w                            # w_j s_ij v_ij
+    g = Z.sum(axis=1) - B / beta
+    if not hessian:
+        return f, g, None
+    diag = np.einsum("ij,ij->i", Z, V) / mu + B / beta ** 2
+    Z *= 1.0 / np.sqrt(w * mu)        # sqrt(w_j / mu) s_ij v_ij
+    n = beta.size
+    if rows.size == n:
+        H = Z @ Z.T
+    else:
+        H = np.zeros((n, n))
+        A = Z[rows]
+        H[np.ix_(rows, rows)] = A @ A.T
+    np.negative(H, out=H)
+    H.flat[::n + 1] += diag
     return f, g, H
 
 
@@ -384,14 +390,15 @@ def _held(beta, g, lo, hi):
 
 def _free_newton_step(H, g, beta, lo, hi):
     """Projected-Newton direction: zero on coordinates held at a box face by
-    the gradient, the Newton step of the rest."""
+    the gradient, the Newton step of the rest.  Adds 1e-14 to H's diagonal
+    in place when no coordinate is held."""
     free = ~_held(beta, g, lo, hi)
     step = np.zeros_like(beta)
     if free.any():
-        Hf = H[np.ix_(free, free)]
+        Hf = H if free.all() else H[np.ix_(free, free)]
+        Hf[np.diag_indices_from(Hf)] += 1e-14
         try:
-            step[free] = np.linalg.solve(
-                Hf + 1e-14 * np.eye(Hf.shape[0]), -g[free])
+            step[free] = np.linalg.solve(Hf, -g[free])
         except np.linalg.LinAlgError:
             step[free] = -g[free]
     return step
@@ -404,8 +411,8 @@ def _smoothed_start(instance, cells):
     and the first from equal utility prices."""
     lo, hi = beta_bounds(instance)
     # equal utility prices that make the price mass equal the money
-    mass = sum(float(np.dot(w, V.max(axis=0)))
-               for w, V in _cell_densities(instance, cells))
+    w, V = cells
+    mass = float(np.dot(w, V.max(axis=0)))
     beta = np.clip(instance.budgets.sum() / mass, lo, hi)
     for mu in _SMOOTH_MUS:
         f, g, H = _smoothed_dual(instance, cells, beta, mu)

@@ -12,6 +12,9 @@ from fisher_fair import (
     solve,
 )
 from fisher_fair.dual_solver import (
+    _CURVATURE_MU,
+    _SMOOTH_MUS,
+    _SOFTMAX_FLOOR,
     _smoothed_dual,
     _smoothing_cells,
     allocation_from_beta,
@@ -282,17 +285,107 @@ def test_smoothed_dual_derivatives_match_finite_differences(mode):
     lo, hi = beta_bounds(inst)
     rng = np.random.default_rng(5)
     beta = lo + (hi - lo) * rng.uniform(0.2, 0.8, inst.n)
-    mu, h = 1e-2, 1e-6
-    f, g, H = _smoothed_dual(inst, cells, beta, mu)
-    fd_g = np.empty(inst.n)
-    fd_H = np.empty((inst.n, inst.n))
-    for i in range(inst.n):
-        e = np.zeros(inst.n)
-        e[i] = h
-        f_p, g_p, _ = _smoothed_dual(inst, cells, beta + e, mu)
-        f_m, g_m, _ = _smoothed_dual(inst, cells, beta - e, mu)
-        fd_g[i] = (f_p - f_m) / (2 * h)
-        fd_H[:, i] = (g_p - g_m) / (2 * h)
-    assert np.allclose(g, fd_g, rtol=1e-6, atol=1e-7)
-    assert np.allclose(H, fd_H, rtol=1e-5, atol=1e-5)
-    assert np.allclose(H, H.T, atol=1e-12)
+    # at mu = 1e-4, below the last smoothing level, the exp clamp is active;
+    # the derivatives scale like powers of 1 / mu, so the step keeps h / mu
+    for mu in (1e-2, 1e-4):
+        h = 1e-4 * mu
+        f, g, H = _smoothed_dual(inst, cells, beta, mu)
+        fd_g = np.empty(inst.n)
+        fd_H = np.empty((inst.n, inst.n))
+        for i in range(inst.n):
+            e = np.zeros(inst.n)
+            e[i] = h
+            f_p, g_p, _ = _smoothed_dual(inst, cells, beta + e, mu)
+            f_m, g_m, _ = _smoothed_dual(inst, cells, beta - e, mu)
+            fd_g[i] = (f_p - f_m) / (2 * h)
+            fd_H[:, i] = (g_p - g_m) / (2 * h)
+        assert np.allclose(g, fd_g, rtol=1e-6, atol=1e-7)
+        assert np.allclose(H, fd_H, rtol=1e-5, atol=1e-5)
+        assert np.allclose(H, H.T, atol=1e-12)
+
+
+def _reference_smoothed_dual(instance, beta, mu, hessian=True):
+    """The smoothed dual as computed before the one-pass form: densities
+    rebuilt per call in blocks of 128 cells, exp of unclamped exponents, and
+    the rank-one terms of each block over the buyers live on that block."""
+    K = instance.num_segments
+    S = max(8, -(-320 // K))
+    pts = instance.grid.points
+    width = np.diff(pts) / S
+    seg = np.repeat(np.arange(K), S)
+    mid = pts[seg] + (np.tile(np.arange(S), K) + 0.5) * width[seg]
+    wt = width[seg]
+    B = instance.budgets
+    f = -float(np.dot(B, np.log(beta)))
+    g = -B / beta
+    H = np.diag(B / beta ** 2) if hessian else None
+    scale = beta[:, None] / mu
+    for s in range(0, seg.size, 128):
+        k = seg[s:s + 128]
+        w = wt[s:s + 128]
+        V = instance.c[:, k] * mid[s:s + 128] + instance.d[:, k]
+        Z = V * scale
+        zmax = Z.max(axis=0)
+        Z -= zmax
+        np.exp(Z, out=Z)
+        tot = Z.sum(axis=0)
+        f += mu * float(np.dot(w, zmax + np.log(tot)))
+        Z *= w / tot
+        if hessian:
+            rows = np.flatnonzero((Z > _SOFTMAX_FLOOR * w).any(axis=1))
+        Z *= V
+        g += Z.sum(axis=1)
+        if hessian:
+            H[np.diag_indices_from(H)] += np.einsum("ij,ij->i", Z, V) / mu
+            A = Z[rows] / np.sqrt(w * mu)
+            H[np.ix_(rows, rows)] -= A @ A.T
+    return f, g, H
+
+
+SMOOTHING_SHAPES = [(7, 3, "linear"), (100, 100, "linear"), (300, 5, "linear"),
+                    (80, 5, "quasilinear")]
+
+
+def _smoothing_point(n, k, mode):
+    inst = sample_instance(n, k, 21, mode=mode)
+    lo, hi = beta_bounds(inst)
+    beta = lo + (hi - lo) * np.random.default_rng(5).uniform(0.2, 0.8, n)
+    return inst, _smoothing_cells(inst), beta
+
+
+@pytest.mark.parametrize("n,k,mode", SMOOTHING_SHAPES,
+                         ids=[f"{m}-{n}x{k}" for n, k, m in SMOOTHING_SHAPES])
+def test_smoothed_dual_never_underflows(n, k, mode):
+    # at the small smoothing levels most exponents lie far below -708; exp
+    # must never see them
+    inst, cells, beta = _smoothing_point(n, k, mode)
+    with np.errstate(under="raise"):
+        for mu in _SMOOTH_MUS + (_CURVATURE_MU,):
+            for hessian in (True, False):
+                _smoothed_dual(inst, cells, beta, mu, hessian=hessian)
+
+
+def _hessian_term_scale(inst, cells, beta, mu):
+    """Largest diagonal entry of H before the rank-one terms are subtracted.
+    Where one buyer's weight on a cell is near 1 the two nearly cancel, so
+    this, not max |H|, is the scale of H's roundoff."""
+    w, V = cells
+    Z = V * (beta[:, None] / mu)
+    Z = np.exp(np.maximum(Z - Z.max(axis=0), -700.0))
+    Z /= Z.sum(axis=0)
+    return float(((Z * V * V) @ w / mu + inst.budgets / beta ** 2).max())
+
+
+@pytest.mark.parametrize("n,k,mode", SMOOTHING_SHAPES,
+                         ids=[f"{m}-{n}x{k}" for n, k, m in SMOOTHING_SHAPES])
+def test_smoothed_dual_matches_blocked_reference(n, k, mode):
+    inst, cells, beta = _smoothing_point(n, k, mode)
+    for mu in _SMOOTH_MUS + (_CURVATURE_MU,):
+        f, g, H = _smoothed_dual(inst, cells, beta, mu)
+        f_r, g_r, H_r = _reference_smoothed_dual(inst, beta, mu)
+        assert abs(f - f_r) <= 1e-12 * abs(f_r)
+        assert np.abs(g - g_r).max() <= 1e-12 * np.abs(g_r).max()
+        scale = _hessian_term_scale(inst, cells, beta, mu)
+        assert np.abs(H - H_r).max() <= 1e-12 * scale
+        assert np.array_equal(H, H.T)
+        assert _smoothed_dual(inst, cells, beta, mu, hessian=False)[2] is None
