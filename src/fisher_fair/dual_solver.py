@@ -17,7 +17,10 @@ the duality gap is available at every iterate.  The run has two phases:
 2. projected Newton on the exact dual from that point: the envelope crossing
    points depend smoothly on beta, so the winning-utility Jacobian (the
    Hessian of the envelope integral) is available in closed form piece by
-   piece, and Newton steps drive the gap to roundoff level.  That Hessian
+   piece, and Newton steps drive the gap to roundoff level.  Polishing
+   stops once the best iterate, the one returned, has gap below 1e-13 and
+   projected gradient below 1e-11; past that psi is flat to roundoff, so
+   no later step is judged on anything but noise.  That Hessian
    sees only the current envelope structure, so while the gap is above 1e-6
    the smoothed dual's Hessian is added to it.  A step that cannot decrease
    psi falls back once to a Polyak-sized subgradient step.
@@ -53,15 +56,13 @@ _IDENTITY_TOL = 1e-7      # |u_i - B_i / beta_i| a certified result may keep
 # smoothing levels mu, at most _SMOOTH_ITERS Newton steps per level, a level
 # ending once the Newton decrement is below _SMOOTH_DECREMENT * mu; a softmax
 # exponent relative to its cell's top is clamped at _EXP_FLOOR (weight e^-60,
-# about 1e-26) before exp, and a buyer whose weight is below _SOFTMAX_FLOOR on
-# every cell is left out of the Hessian's rank-one terms
+# about 1e-26) before exp
 _CELLS_MIN = 8
 _CELLS_TOTAL = 320
 _SMOOTH_MUS = tuple(3e-2 * 0.5 ** i for i in range(9))
 _SMOOTH_ITERS = 30
 _SMOOTH_DECREMENT = 1e-2
 _EXP_FLOOR = -60.0
-_SOFTMAX_FLOOR = 1e-12
 # the exact Newton phase adds the smoothed Hessian at mu = _CURVATURE_MU for
 # up to 100 buyers, shrinking like 1/n beyond (the gaps between the top scaled
 # lines do), while the gap is above _CURVATURE_GAP
@@ -347,9 +348,8 @@ def _smoothed_dual(instance, cells, beta, mu, hessian=True):
     with v_ij buyer i's density at cell j's midpoint and s_j the softmax of
     beta * v_j / mu, in one pass over all cells.  An exponent more than
     -_EXP_FLOOR below its cell's top is clamped there, so exp never
-    underflows; such a weight is below _SOFTMAX_FLOOR and far below roundoff
-    in f and g.  The rank-one terms skip buyers whose weight is below
-    _SOFTMAX_FLOOR on every cell.
+    underflows; such a weight is about 1e-26 or less, far below roundoff in
+    f, g and H.
     """
     w, V = cells
     B = instance.budgets
@@ -360,25 +360,16 @@ def _smoothed_dual(instance, cells, beta, mu, hessian=True):
     np.exp(Z, out=Z)
     tot = Z.sum(axis=0)
     f = mu * float(np.dot(w, zmax + np.log(tot))) - float(np.dot(B, np.log(beta)))
-    Z *= 1.0 / tot                    # s_ij
-    if hessian:
-        rows = np.flatnonzero(Z.max(axis=1) > _SOFTMAX_FLOOR)
-    Z *= V
-    Z *= w                            # w_j s_ij v_ij
+    Z *= w / tot
+    Z *= V                            # w_j s_ij v_ij
     g = Z.sum(axis=1) - B / beta
     if not hessian:
         return f, g, None
     diag = np.einsum("ij,ij->i", Z, V) / mu + B / beta ** 2
     Z *= 1.0 / np.sqrt(w * mu)        # sqrt(w_j / mu) s_ij v_ij
-    n = beta.size
-    if rows.size == n:
-        H = Z @ Z.T
-    else:
-        H = np.zeros((n, n))
-        A = Z[rows]
-        H[np.ix_(rows, rows)] = A @ A.T
+    H = Z @ Z.T
     np.negative(H, out=H)
-    H.flat[::n + 1] += diag
+    H.flat[::beta.size + 1] += diag
     return f, g, H
 
 
@@ -474,13 +465,19 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
         gap_history.append(best_gap)
         return psi, g, useg, env, gap, gn
 
+    def polished():
+        # the iterate to be returned meets both targets; past them psi is flat
+        # to roundoff, and steps accepted on one-ulp changes only wander
+        return ((best_gap <= _GAP_FLOOR and best_gn <= 1e-11)
+                or evals >= cfg.max_iter)
+
     cells = _smoothing_cells(instance)
     curvature_mu = _CURVATURE_MU * min(1.0, 100.0 / instance.n)
     beta = _smoothed_start(instance, cells)
     psi, g, useg, env, gap, gn = assess(beta)
     stall = 0
     for _ in range(_NEWTON_ITERS):
-        if (best_gap <= _GAP_FLOOR and gn <= 1e-11) or evals >= cfg.max_iter:
+        if polished():
             break
         if best_gap > _CURVATURE_GAP:
             # the exact Hessian sees only the current envelope structure; a
@@ -505,9 +502,13 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
                 improved = True
                 break
             alpha *= 0.5
-            if evals >= cfg.max_iter:
+            if polished():
                 break
-        if not improved:
+        if improved:
+            stall = 0
+        elif polished():
+            break
+        else:
             stall += 1
             if stall >= 2:
                 break
@@ -516,8 +517,6 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
             cand = np.clip(beta - eta * g, lo, hi)
             psi, g, useg, env, gap, gn = assess(cand)
             beta = cand
-        else:
-            stall = 0
 
     beta = best_beta
     psi, g, useg_win, env = assess(beta)[:4]

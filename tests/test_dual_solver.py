@@ -14,7 +14,6 @@ from fisher_fair import (
 from fisher_fair.dual_solver import (
     _CURVATURE_MU,
     _SMOOTH_MUS,
-    _SOFTMAX_FLOOR,
     _smoothed_dual,
     _smoothing_cells,
     allocation_from_beta,
@@ -278,6 +277,17 @@ def test_quasilinear_40x1_certified_result_passes_kkt():
         sample_instance(40, 1, 3442769812, mode="quasilinear"))
 
 
+def test_polish_stops_once_best_iterate_meets_targets():
+    # the fifth evaluation reaches gap 1e-15 and projected gradient 2e-13,
+    # after which psi is flat to one ulp; an exit that tests the current
+    # iterate instead of the best one can wander here for the whole
+    # line-search budget (1,847 evaluations)
+    inst = sample_instance(40, 1, 2207086485, mode="quasilinear")
+    result = solve(inst)
+    assert result.gap <= 1e-12
+    assert result.iterations <= 20
+
+
 @pytest.mark.parametrize("mode", ["linear", "quasilinear"])
 def test_smoothed_dual_derivatives_match_finite_differences(mode):
     inst = sample_instance(7, 3, 21, mode=mode)
@@ -332,7 +342,7 @@ def _reference_smoothed_dual(instance, beta, mu, hessian=True):
         f += mu * float(np.dot(w, zmax + np.log(tot)))
         Z *= w / tot
         if hessian:
-            rows = np.flatnonzero((Z > _SOFTMAX_FLOOR * w).any(axis=1))
+            rows = np.flatnonzero((Z > 1e-12 * w).any(axis=1))
         Z *= V
         g += Z.sum(axis=1)
         if hessian:
