@@ -17,13 +17,19 @@ the duality gap is available at every iterate.  The run has two phases:
 2. projected Newton on the exact dual from that point: the envelope crossing
    points depend smoothly on beta, so the winning-utility Jacobian (the
    Hessian of the envelope integral) is available in closed form piece by
-   piece, and Newton steps drive the gap to roundoff level.  Polishing
-   stops once the best iterate, the one returned, has gap below 1e-13 and
-   projected gradient below 1e-11; past that psi is flat to roundoff, so
-   no later step is judged on anything but noise.  That Hessian
+   piece, and Newton steps drive the gap to roundoff level.  That Hessian
    sees only the current envelope structure, so while the gap is above 1e-6
-   the smoothed dual's Hessian is added to it.  A step that cannot decrease
-   psi falls back once to a Polyak-sized subgradient step.
+   the smoothed dual's Hessian is added to it.  ``SolveConfig.max_iter``
+   envelope evaluations are the only budget, and the loop ends on exactly
+   one of three exits:
+
+   a. the best iterate, the one returned, has gap below 1e-13 and projected
+      gradient below 1e-11, or the budget is spent;
+   b. a 25-step backtracking line search finds no acceptable step (Newton
+      stalled);
+   c. psi is flat to roundoff (best gap below 1e-13) and a whole Newton
+      iteration left the best iterate unchanged: past that point steps are
+      accepted on one-ulp changes of psi and only wander.
 
 Acceptance of a solution is by the certified duality gap and the
 utility-price identity of the allocation, never by iteration count.  The
@@ -49,7 +55,6 @@ from .market import Interval, MarketInstance, QUASILINEAR
 
 GAP_TOL = 1e-8
 _GAP_FLOOR = 1e-13        # stop polishing below this gap
-_NEWTON_ITERS = 80        # Newton steps of the polish phase
 _BOUNDARY_SNAP = 1e-12    # beta this close to a box face counts as active
 _IDENTITY_TOL = 1e-7      # |u_i - B_i / beta_i| a certified result may keep
 # smoothed warm start: cells per segment max(_CELLS_MIN, ceil(_CELLS_TOTAL / K)),
@@ -306,19 +311,25 @@ def duality_gap(instance: MarketInstance, beta, psi, u):
     return psi - (primal + duality_constant(instance)), u, delta, net
 
 
+def _result(instance, beta, psi, useg, env, iterations, gap_history=None):
+    """EquilibriumResult at beta: the pure allocation attaining the tie-split
+    winning utilities ``useg``, and its certified gap (inf when not finite)."""
+    allocation, useg = pure_allocation(instance, useg)
+    gap, u, delta, net = duality_gap(instance, beta, psi, useg.sum(axis=1))
+    return EquilibriumResult(beta=beta, u=u, useg=useg, allocation=allocation,
+                             prices=env, gap=float(gap if np.isfinite(gap) else np.inf),
+                             iterations=iterations, mode=instance.mode, delta=delta,
+                             ql_net_utilities=net, gap_history=gap_history)
+
+
 def allocation_from_beta(instance: MarketInstance, beta) -> EquilibriumResult:
     """The winning sets at given utility prices (e.g. a stochastic average)
     as a pure allocation, with its gap certificate; no further optimization
     happens."""
     beta = np.clip(np.asarray(beta, dtype=float), *beta_bounds(instance))
-    psi, _, useg_win, env = dual_subgradient(instance, beta)
-    allocation, useg = pure_allocation(
-        instance, _split_winning_ties(instance, beta, useg_win))
-    gap, u, delta, net = duality_gap(instance, beta, psi, useg.sum(axis=1))
-    return EquilibriumResult(beta=beta, u=u, useg=useg, allocation=allocation,
-                             prices=env, gap=float(gap), iterations=1,
-                             mode=instance.mode, delta=delta,
-                             ql_net_utilities=net)
+    psi, _, useg, env = dual_subgradient(instance, beta)
+    return _result(instance, beta, psi, _split_winning_ties(instance, beta, useg),
+                   env, iterations=1)
 
 
 def _smoothing_cells(instance):
@@ -440,7 +451,7 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
     best_bound = -np.inf
     best_gap = np.inf
     best_gn = np.inf
-    best_beta = None
+    best = None                   # (beta, psi, tie-split useg, envelope)
     gap_history = []
 
     def assess(b):
@@ -448,7 +459,7 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
         # how faithfully targets B/beta match the winning utilities (a buyer
         # held at the cap keeps money instead); prefer iterates better in the
         # gap, then in the gradient at equal gap
-        nonlocal evals, best_bound, best_gap, best_gn, best_beta
+        nonlocal evals, best_bound, best_gap, best_gn, best
         psi, g, useg, env = dual_subgradient(instance, b)
         evals += 1
         useg = _split_winning_ties(instance, b, useg)
@@ -457,13 +468,13 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
         best_bound = max(best_bound, primal + C)
         gap = psi - best_bound
         gn = float(np.abs(np.where(_held(b, g, lo, hi), 0.0, g)).max())
-        if (best_beta is None or gap < best_gap - 1e-15
+        if (best is None or gap < best_gap - 1e-15
                 or (gap <= best_gap + 1e-14 and gn < best_gn)):
             best_gap = min(gap, best_gap)
             best_gn = gn
-            best_beta = b.copy()
+            best = (b.copy(), psi, useg, env)
         gap_history.append(best_gap)
-        return psi, g, useg, env, gap, gn
+        return psi, g, env, gap, gn
 
     def polished():
         # the iterate to be returned meets both targets; past them psi is flat
@@ -474,11 +485,9 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
     cells = _smoothing_cells(instance)
     curvature_mu = _CURVATURE_MU * min(1.0, 100.0 / instance.n)
     beta = _smoothed_start(instance, cells)
-    psi, g, useg, env, gap, gn = assess(beta)
-    stall = 0
-    for _ in range(_NEWTON_ITERS):
-        if polished():
-            break
+    psi, g, env, _, gn = assess(beta)
+    stalled = False
+    while not polished():
         if best_gap > _CURVATURE_GAP:
             # the exact Hessian sees only the current envelope structure; a
             # step that changes it meets more curvature, which the smoothed
@@ -488,56 +497,42 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
             H = np.diag(B / beta ** 2)
         H += _envelope_hessian(instance, env, beta)
         step = _free_newton_step(H, g, beta, lo, hi)
-        improved = False
+        before = best
         alpha = 1.0
-        for _ls in range(25):
+        for _ in range(25):
             cand = np.clip(beta + alpha * step, lo, hi)
-            psi_c, g_c, useg_c, env_c, gap_c, gn_c = assess(cand)
+            psi_c, g_c, env_c, gap_c, gn_c = assess(cand)
             # near the floor psi is flat to roundoff while Newton still
             # shrinks the gradient; accept on either signal
             if (psi_c < psi or (psi_c <= psi and gn_c < gn)
                     or gap_c < best_gap * 0.999):
-                beta, psi, g, useg, env, gap, gn = (cand, psi_c, g_c, useg_c,
-                                                    env_c, gap_c, gn_c)
-                improved = True
+                beta, psi, g, env, gn = cand, psi_c, g_c, env_c, gn_c
                 break
             alpha *= 0.5
             if polished():
                 break
-        if improved:
-            stall = 0
-        elif polished():
-            break
         else:
-            stall += 1
-            if stall >= 2:
-                break
-            eta = min(max(psi - best_bound, 0.0)
-                      / max(float(np.dot(g, g)), 1e-30), 0.05)
-            cand = np.clip(beta - eta * g, lo, hi)
-            psi, g, useg, env, gap, gn = assess(cand)
-            beta = cand
+            stalled = True
+            break
+        if best is before and best_gap <= _GAP_FLOOR:
+            # psi is flat to roundoff: a step accepted on a one-ulp change
+            # that leaves the best iterate alone only wanders
+            break
 
-    beta = best_beta
-    psi, g, useg_win, env = assess(beta)[:4]
-    allocation, useg = pure_allocation(instance, useg_win)
-    gap_final, u_report, delta, net = duality_gap(instance, beta, psi,
-                                                  useg.sum(axis=1))
-    result = EquilibriumResult(
-        beta=beta, u=u_report, useg=useg, allocation=allocation, prices=env,
-        gap=float(gap_final if np.isfinite(gap_final) else np.inf),
-        iterations=evals, mode=instance.mode, delta=delta, ql_net_utilities=net,
-        gap_history=gap_history)
-    if not np.isfinite(gap_final) or gap_final > cfg.gap_tol:
+    result = _result(instance, *best, iterations=evals, gap_history=gap_history)
+    why = ("Newton stalled" if stalled
+           else "evaluation budget exhausted" if evals >= cfg.max_iter
+           else "gap at roundoff level")
+    if result.gap > cfg.gap_tol:
         raise NotConverged(
-            f"duality gap {gap_final:.3e} above tolerance {cfg.gap_tol:.3e} "
-            f"after {evals} evaluations", result=result, gap=float(gap_final))
+            f"duality gap {result.gap:.3e} above tolerance {cfg.gap_tol:.3e} "
+            f"after {evals} evaluations: {why}", result=result, gap=result.gap)
     # the gap is quadratic in the utility error, so a gap far below gap_tol
     # can still leave utilities off their targets B / beta by ~sqrt(gap)
-    identity = float(np.abs(u_report - B / beta).max())
+    identity = float(np.abs(result.u - B / result.beta).max())
     if identity > _IDENTITY_TOL:
         raise NotConverged(
             f"utility-price residual {identity:.3e} above {_IDENTITY_TOL:.0e} "
-            f"at duality gap {gap_final:.3e} after {evals} evaluations",
-            result=result, gap=float(gap_final))
+            f"at duality gap {result.gap:.3e} after {evals} evaluations: {why}",
+            result=result, gap=result.gap)
     return result

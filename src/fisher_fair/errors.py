@@ -30,7 +30,7 @@ class NumericalBreakdown(FisherFairError):
 
 
 class NotConverged(FisherFairError):
-    """A solver ran out of iterations; carries the best iterate found.
+    """A solver stopped short of its tolerance; carries the best iterate found.
 
     The ``result`` attribute holds the best solution object (solver specific)
     and ``gap`` its certificate value, so callers can still inspect or save it.

@@ -4,13 +4,15 @@ Each test prints one PASS/FAIL line (run with ``pytest -s`` to see them all).
 The suite is heavier than the unit tests; expect around ten minutes.
 """
 
+import os
+import subprocess
 import sys
 import time
 
 import numpy as np
 
+import fisher_fair
 from fisher_fair import solve, upper_envelope
-from fisher_fair.cli import main as cli_main
 from fisher_fair.ellipsoid import ellipsoid_solve
 from fisher_fair.feasible import membership, partition_segment, segment_feasibility_certificate
 from fisher_fair.market import Interval, LinearPiece, cut, eval_interval
@@ -166,13 +168,21 @@ def test_acceptance_6_membership_threeway():
                    f"vs 1e4-cell brute force, {disagreements} disagreements")
 
 
-def test_acceptance_7_bench_scaling(tmp_path, monkeypatch):
+def test_acceptance_7_bench_scaling(tmp_path):
     import csv
-    monkeypatch.setenv("FISHER_FAIR_THREADS", "1")
+    # a fresh interpreter, so that OpenBLAS starts with one thread: waking a
+    # second BLAS thread adds tens of milliseconds to the first 100x100 cell,
+    # which is noise in a K-doubling ratio of cells taking about 0.1 s
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", FISHER_FAIR_THREADS="1",
+               PYTHONPATH=os.pathsep.join(
+                   [os.path.dirname(os.path.dirname(fisher_fair.__file__)),
+                    os.environ.get("PYTHONPATH", "")]))
     out = tmp_path / "bench.csv"
     t0 = time.perf_counter()
-    assert cli_main(["bench", "--grid", "50,100:50,100", "--seeds", "1,2,3",
-                     "--gap-tol", "1e-6", "--out", str(out)]) == 0
+    assert subprocess.run(
+        [sys.executable, "-m", "fisher_fair.cli", "bench", "--grid",
+         "50,100:50,100", "--seeds", "1,2,3", "--gap-tol", "1e-6", "--out",
+         str(out)], env=env, timeout=600).returncode == 0
     elapsed = time.perf_counter() - t0
     rows = list(csv.reader(open(out)))
     cells = {(int(r[0]), int(r[1])): float(r[7]) for r in rows[1:]}

@@ -9,6 +9,7 @@ from fisher_fair import (
     SolveConfig,
     build_instance,
     dual_objective,
+    dual_solver,
     solve,
 )
 from fisher_fair.dual_solver import (
@@ -120,6 +121,7 @@ def test_not_converged_carries_best(example5):
     assert exc.value.result is not None
     assert exc.value.gap > 1e-12
     assert exc.value.result.beta.shape == (4,)
+    assert "budget" in str(exc.value)
 
 
 def test_utility_price_identity(random_instance):
@@ -259,6 +261,9 @@ CROWDED_SWEEP = [(mode, n, k, seed)
                  for n, k, seeds in ((40, 1, range(5)), (80, 5, range(5)),
                                      (120, 20, range(5)), (300, 5, range(2)))
                  for seed in seeds]
+# perfbench crowded --seed 9801, case 3: after 80 exact Newton steps (672
+# evaluations) six buyers still win nothing; it certifies after 712
+CROWDED_SWEEP.append(("linear", 300, 5, 3155723043))
 
 
 @pytest.mark.parametrize(
@@ -286,6 +291,34 @@ def test_polish_stops_once_best_iterate_meets_targets():
     result = solve(inst)
     assert result.gap <= 1e-12
     assert result.iterations <= 20
+
+
+def test_flat_psi_ends_polish_when_best_iterate_stops_improving():
+    # perfbench crowded --seed 1125, case 3: the best gap reaches roundoff
+    # while the projected gradient stays above 1e-11, and every later step
+    # is accepted on a one-ulp drop in psi without improving the returned
+    # iterate; polishing on until the budget runs out takes 2,000 evaluations
+    result = solve(sample_instance(300, 5, 3718883549))
+    assert result.gap <= 1e-12
+    assert result.iterations <= 422
+
+
+@pytest.mark.parametrize("seed", [None, 1], ids=["example5", "50x50"])
+def test_every_evaluation_at_a_distinct_beta(example5, monkeypatch, seed):
+    # the result is built from the best iterate's stored evaluation, not by
+    # evaluating the envelope again at a beta already evaluated
+    inst = example5 if seed is None else sample_instance(50, 50, seed)
+    betas = []
+    evaluate = dual_solver.dual_subgradient
+
+    def recording(instance, beta):
+        betas.append(beta.tobytes())
+        return evaluate(instance, beta)
+
+    monkeypatch.setattr(dual_solver, "dual_subgradient", recording)
+    result = solve(inst)
+    assert len(betas) == result.iterations
+    assert len(set(betas)) == len(betas)
 
 
 @pytest.mark.parametrize("mode", ["linear", "quasilinear"])
