@@ -20,7 +20,6 @@ from .market import (
     eval_interval,
     load_instance,
     merge_valuations,
-    save_instance,
 )
 from .envelope import (
     PiecewiseLinearFunction,
@@ -28,7 +27,6 @@ from .envelope import (
     certify_envelope,
     dual_objective,
     dual_subgradient,
-    integral,
     plot_data,
     upper_envelope,
     winning_utilities,

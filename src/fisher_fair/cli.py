@@ -8,9 +8,8 @@ files that lack a required key or hold a value of the wrong type or shape,
 and malformed ``bench`` arguments, 2 solver
 finished without a certificate (the best iterate is still written).
 ``bench`` times each (n, k, seed) cell as the fastest of three build+solve
-runs, appends the evaluation and envelope-piece counts of those runs summed
-over the seeds, and parallelizes across grid cells; FISHER_FAIR_THREADS caps
-the process pool.
+runs, one cell at a time so that cells do not compete for cores, and appends
+the evaluation and envelope-piece counts of those runs summed over the seeds.
 """
 
 from __future__ import annotations
@@ -19,10 +18,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -197,19 +194,15 @@ def _cmd_sample(args):
 
 def _cmd_plot_data(args):
     instance = load_instance(args.instance)
-    if args.result:
-        beta = _read_beta(args.result, instance.n)
-    else:
-        beta = solve(instance).beta
+    beta = _read_beta(args.result, instance.n)
     header, rows = plot_data(instance, beta, num_points=args.points)
     _write_csv(args.out, header, [list(row) for row in rows])
     return 0
 
 
-def _bench_cell(task):
-    """(n, k, seed, build s, solve s, evaluations, envelope pieces) of the
-    fastest of _BENCH_REPEATS build+solve runs of one cell."""
-    n, k, seed, gap_tol = task
+def _bench_cell(n, k, seed, gap_tol):
+    """(build s, solve s, evaluations, envelope pieces) of the fastest of
+    _BENCH_REPEATS build+solve runs of one cell."""
     best = None
     for _ in range(_BENCH_REPEATS):
         t0 = time.perf_counter()
@@ -223,7 +216,7 @@ def _bench_cell(task):
         if best is None or t2 - t0 < best[0] + best[1]:
             best = (t1 - t0, t2 - t1, result.iterations,
                     result.prices.num_pieces)
-    return (n, k, seed) + best
+    return best
 
 
 def _cmd_bench(args):
@@ -239,25 +232,10 @@ def _cmd_bench(args):
     except ValueError as exc:
         raise FisherFairError(f"bad --seeds value {args.seeds!r}; "
                               "expected S1,S2,..") from exc
-    threads = os.environ.get("FISHER_FAIR_THREADS", str(os.cpu_count() or 1))
-    try:
-        workers = int(threads)
-    except ValueError as exc:
-        raise FisherFairError(f"FISHER_FAIR_THREADS must be an integer, "
-                              f"got {threads!r}") from exc
-    tasks = [(n, k, s, args.gap_tol) for n in ns for k in ks for s in seeds]
-    results = []
-    if tasks:
-        if workers > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_bench_cell, tasks))
-        else:
-            results = [_bench_cell(t) for t in tasks]
-    cells = {}
-    for n, k, _, *sample in results:
-        cells.setdefault((n, k), []).append(sample)
+    cells = sorted({(n, k) for n in ns for k in ks}) if seeds else []
     rows = []
-    for (n, k), samples in sorted(cells.items()):
+    for n, k in cells:
+        samples = [_bench_cell(n, k, s, args.gap_tol) for s in seeds]
         build = np.array([s[0] for s in samples])
         slv = np.array([s[1] for s in samples])
         total = build + slv
@@ -339,8 +317,7 @@ def build_parser():
 
     p = sub.add_parser("plot-data", help="envelope and scaled valuations as CSV")
     p.add_argument("--instance", required=True)
-    p.add_argument("--result", default=None,
-                   help="result JSON with beta (otherwise solve first)")
+    p.add_argument("--result", required=True, help="result JSON with beta")
     p.add_argument("--points", type=int, default=1000)
     p.add_argument("--out", default="-")
     p.set_defaults(func=_cmd_plot_data)

@@ -3,8 +3,12 @@
 The dual psi(beta) = integral(max_i beta_i v_i) - sum_i B_i log beta_i is
 minimized over the box containing the optimum.  Every winning-set evaluation
 also yields a feasible primal value (the winning sets are an actual
-allocation), so sum_i B_i log u_i + C is a certified lower bound on psi and
-the duality gap is available at every iterate.  The run has two phases:
+allocation), so sum_i B_i log u_i + C is a lower bound on the optimum of psi.
+The loop's gap at an iterate is psi there minus the best such bound seen over
+all iterates so far; it picks the best iterate and ends the loop, but it is
+not the gap of the returned allocation, which the result reports on its own
+and which alone certifies (after an early stop the two can differ ninefold).
+The run has two phases:
 
 1. an entropic-smoothing warm start (Nesterov 2005): each grid segment is
    split into equal cells, the max on each cell is replaced by
@@ -25,8 +29,8 @@ the duality gap is available at every iterate.  The run has two phases:
 
    a. the best iterate, the one returned, has gap below 1e-13 and projected
       gradient below 1e-11, or the budget is spent;
-   b. a 25-step backtracking line search finds no acceptable step (Newton
-      stalled);
+   b. a 25-step backtracking line search finds no acceptable step, or its
+      step no longer moves beta at float precision (Newton stalled);
    c. psi is flat to roundoff (best gap below 1e-13) and a whole Newton
       iteration left the best iterate unchanged: past that point steps are
       accepted on one-ulp changes of psi and only wander.
@@ -57,6 +61,7 @@ GAP_TOL = 1e-8
 _GAP_FLOOR = 1e-13        # stop polishing below this gap
 _BOUNDARY_SNAP = 1e-12    # beta this close to a box face counts as active
 _IDENTITY_TOL = 1e-7      # |u_i - B_i / beta_i| a certified result may keep
+_TIE_TOL = 1e-9           # relative slack when grouping tied scaled lines
 # smoothed warm start: cells per segment max(_CELLS_MIN, ceil(_CELLS_TOTAL / K)),
 # smoothing levels mu, at most _SMOOTH_ITERS Newton steps per level, a level
 # ending once the Newton decrement is below _SMOOTH_DECREMENT * mu; a softmax
@@ -115,7 +120,8 @@ class EquilibriumResult:
     mode: str
     delta: np.ndarray = None      # quasilinear slack, None in linear mode
     ql_net_utilities: np.ndarray = None
-    gap_history: list = None      # best certified gap after each evaluation
+    gap_history: list = None      # the loop's best gap after each evaluation,
+                                  # against the running primal bound; not ``gap``
 
     def to_json(self):
         doc = {
@@ -176,14 +182,14 @@ def _primal_value(instance, w):
     return float(np.dot(B, np.log(w)))
 
 
-def _split_winning_ties(instance, beta, useg, tol=1e-9):
+def _split_winning_ties(instance, beta, useg):
     """Share each tied region among the buyers whose scaled lines tie there.
 
     The smallest-index tie rule hands a whole tied region to one buyer, a
     valid subgradient selection but a useless primal.  Within a group of
     buyers whose scaled lines beta_i v_i coincide on a segment (up to
-    ``tol``), a share m_i of the region's price mass is worth m_i / beta_i to
-    buyer i.  Shares go by the budget each member has left after its untied
+    _TIE_TOL), a share m_i of the region's price mass is worth m_i / beta_i
+    to buyer i.  Shares go by the budget each member has left after its untied
     winnings and earlier groups (quasilinear buyers below the price cap
     first), the rest by budget; each is cut by how far the member's line can
     sit under the group's top line, so it stays attainable.  Returns a
@@ -194,8 +200,8 @@ def _split_winning_ties(instance, beta, useg, tol=1e-9):
     order = np.lexsort((Q, M), axis=0)
     at = np.arange(instance.num_segments)
     ms, qs = M[order, at], Q[order, at]
-    close = (np.abs(np.diff(ms, axis=0)) <= tol * (1.0 + np.abs(ms[:-1]))) & (
-        np.abs(np.diff(qs, axis=0)) <= tol * (1.0 + np.abs(qs[:-1])))
+    close = (np.abs(np.diff(ms, axis=0)) <= _TIE_TOL * (1.0 + np.abs(ms[:-1]))) & (
+        np.abs(np.diff(qs, axis=0)) <= _TIE_TOL * (1.0 + np.abs(qs[:-1])))
     out = useg.copy()
     groups = []
     for k in np.flatnonzero(close.any(axis=0)):
@@ -501,6 +507,11 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
         alpha = 1.0
         for _ in range(25):
             cand = np.clip(beta + alpha * step, lo, hi)
+            # a step below the float spacing at beta leaves it unchanged, and
+            # so does every shorter one: evaluating beta again finds nothing
+            stalled = np.array_equal(cand, beta)
+            if stalled:
+                break
             psi_c, g_c, env_c, gap_c, gn_c = assess(cand)
             # near the floor psi is flat to roundoff while Newton still
             # shrinks the gradient; accept on either signal
@@ -513,6 +524,7 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
                 break
         else:
             stalled = True
+        if stalled:
             break
         if best is before and best_gap <= _GAP_FLOOR:
             # psi is flat to roundoff: a step accepted on a one-ulp change

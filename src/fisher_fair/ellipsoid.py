@@ -243,15 +243,6 @@ def first_order_oracle(system: PerturbedSystem, y) -> np.ndarray:
 
 
 @dataclass
-class EllipsoidState:
-    center: np.ndarray
-    iteration: int = 0
-    best_objective: float = math.inf
-    best_point: np.ndarray = None
-    lower_bound: float = -math.inf
-
-
-@dataclass
 class EllipsoidResult:
     u: np.ndarray
     useg: np.ndarray
@@ -351,9 +342,11 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     eps_internal = eps / (_EPS_MARGIN * (2.0 * kappa + K + 1.0))
     system = build_perturbed_system(instance, eps, eps_internal)
     d = system.dim
-    y0 = feasible_start(system)
+    c = feasible_start(system)    # the center, updated in place
     radius = 2.0 * math.sqrt(d)
-    state = EllipsoidState(center=y0.copy())
+    iteration = 0
+    best_objective, best_point = math.inf, None
+    lower_bound = -math.inf
     V = math.log(kappa) + math.log(2.0 / eps_internal)
     r_ball = eps_internal / 2.0
     budget = int(_CAP_MULTIPLIER * 2.0 * d * (d + 1)
@@ -371,21 +364,20 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     rank = 0
     scale = radius * radius
     row_of = {label: r for r, label in enumerate(system.row_labels)}
-    while state.iteration < budget:
-        state.iteration += 1
-        c = state.center
+    while iteration < budget:
+        iteration += 1
         sep = separation_oracle(system, c)
         feasible = sep is None
         fval = None
         if feasible:
             fval = system.objective(c)
-            if fval < state.best_objective:
-                state.best_objective = fval
-                state.best_point = c.copy()
+            if fval < best_objective:
+                best_objective = fval
+                best_point = c.copy()
             g = first_order_oracle(system, c)
             kind = "objective"
             # f(x) >= f(c) + g'(x - c): keeping {f <= f_best} cuts this deep
-            depth = fval - state.best_objective
+            depth = fval - best_objective
         else:
             g, kind, which = sep
             if kind == "linear":
@@ -409,10 +401,10 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
             continue
         denom = math.sqrt(scale * gQg)
         if feasible:
-            state.lower_bound = max(state.lower_bound, fval - denom)
-            if state.best_objective - state.lower_bound <= eps_internal:
+            lower_bound = max(lower_bound, fval - denom)
+            if best_objective - lower_bound <= eps_internal:
                 if collect_log:
-                    log.append((state.iteration, 1, fval, kind, logdet_half))
+                    log.append((iteration, 1, fval, kind, logdet_half))
                 break
         alpha = min(depth / denom, _MAX_DEPTH)
         tau = 2.0 * (1.0 + d * alpha) / ((d + 1) * (1.0 + alpha))
@@ -433,11 +425,11 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
             logdet_half += 0.5 * (d * math.log(grow) + math.log(
                 (d - 1) * (1.0 - alpha) / ((d + 1) * (1.0 + alpha))))
         if collect_log:
-            log.append((state.iteration, int(feasible), fval, kind, logdet_half))
-    certified = state.best_objective - state.lower_bound <= eps_internal
-    if state.best_point is None:
+            log.append((iteration, int(feasible), fval, kind, logdet_half))
+    certified = best_objective - lower_bound <= eps_internal
+    if best_point is None:
         raise NumericalBreakdown("no feasible center was ever observed")
-    useg = _discounted_utilities(system, state.best_point)
+    useg = _discounted_utilities(system, best_point)
     # pure_allocation's strict partition rejects a column still infeasible
     for k, seg in enumerate(system.segments):
         if not membership(seg, useg[seg.active, k]):
@@ -459,6 +451,6 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     certified = certified and gap <= eps
     return EllipsoidResult(
         u=u, useg=useg, beta=beta, allocation=allocation,
-        objective=float(state.best_objective), gap=float(gap),
-        calls=state.iteration, call_budget=budget, dim=d, certified=bool(certified),
+        objective=float(best_objective), gap=float(gap),
+        calls=iteration, call_budget=budget, dim=d, certified=bool(certified),
         eps=eps, eps_internal=eps_internal, log=log)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .market import LinearPiece, MarketInstance
+from .market import MarketInstance
 
 ENV_TOL = 1e-9      # owner certification tolerance (dominance slack)
 _TIE_EPS = 1e-13    # relative slack when grouping equal leaders at a point
@@ -47,9 +47,6 @@ class PiecewiseLinearFunction:
     @property
     def num_pieces(self) -> int:
         return self.cs.size
-
-    def piece(self, j: int) -> LinearPiece:
-        return LinearPiece(self.cs[j], self.ds[j])
 
     def locate(self, theta):
         idx = np.searchsorted(self.breakpoints, theta, side="right") - 1
@@ -147,20 +144,13 @@ def upper_envelope(instance: MarketInstance, beta) -> PiecewiseLinearFunction:
         cs=M[owners, segs], ds=Q[owners, segs], owners=owners, segments=segs)
 
 
-def integral(f: PiecewiseLinearFunction) -> float:
-    """Total mass of a piecewise-linear function (exact up to roundoff)."""
-    return f.integral()
-
-
 def certify_envelope(instance: MarketInstance, beta,
-                     env: PiecewiseLinearFunction = None,
-                     tol: float = ENV_TOL) -> bool:
-    """Ownership certificate: on every piece the owner's scaled density
-    dominates every other buyer's at both endpoints, up to ``tol``.
-    Endpoint checks suffice because all densities are linear on the piece."""
+                     env: PiecewiseLinearFunction) -> bool:
+    """Ownership certificate: on every piece of ``env``, the envelope at
+    beta, the owner's scaled density dominates every other buyer's at both
+    endpoints, up to ENV_TOL.  Endpoint checks suffice because all densities
+    are linear on the piece."""
     beta = np.asarray(beta, dtype=float)
-    if env is None:
-        env = upper_envelope(instance, beta)
     b = env.breakpoints
     for j in range(env.num_pieces):
         lo, hi = b[j], b[j + 1]
@@ -169,7 +159,7 @@ def certify_envelope(instance: MarketInstance, beta,
         k = env.segments[j]
         for x in (lo, hi):
             vals = beta * (instance.c[:, k] * x + instance.d[:, k])
-            if vals[env.owners[j]] < vals.max() - tol:
+            if vals[env.owners[j]] < vals.max() - ENV_TOL:
                 return False
     return True
 

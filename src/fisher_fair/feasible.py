@@ -132,7 +132,7 @@ def greedy_cuts(cs, ds, order, targets, lo: float, hi: float,
     return points, delivered, truncated
 
 
-def membership(segment: NormalizedSegment, u, mem_tol: float = MEM_TOL) -> bool:
+def membership(segment: NormalizedSegment, u) -> bool:
     """Exact membership oracle for the segment's feasible utility set.
 
     ``u`` holds one nonnegative utility per *active* buyer (original scale),
@@ -145,10 +145,10 @@ def membership(segment: NormalizedSegment, u, mem_tol: float = MEM_TOL) -> bool:
     if u.shape != (segment.num_active,):
         raise ValidationError(
             f"membership expects {segment.num_active} utilities, got {u.shape}")
-    if np.any(u < -mem_tol):
+    if np.any(u < -MEM_TOL):
         return False
     _, _, truncated = greedy_cuts(segment.c_hat, segment.d_hat, segment.order,
-                                  segment.sorted_targets(u), 0.0, 1.0, mem_tol)
+                                  segment.sorted_targets(u), 0.0, 1.0)
     return not truncated.any()
 
 
@@ -423,8 +423,7 @@ def conic_solution_utilities(program: ConicProgram, x):
     return u, u_ik
 
 
-def segment_feasibility_certificate(segment: NormalizedSegment, u,
-                                    mem_tol: float = MEM_TOL):
+def segment_feasibility_certificate(segment: NormalizedSegment, u):
     """Check feasibility through the constraint block, not the greedy oracle.
 
     Builds the full auxiliary assignment from greedy cut points in normalized
@@ -441,15 +440,15 @@ def segment_feasibility_certificate(segment: NormalizedSegment, u,
         raise ValidationError(f"expected {m} active utilities, got {u.shape}")
     uhat = segment.sorted_targets(u)
     s, _, _ = greedy_cuts(segment.c_hat, segment.d_hat, segment.order, uhat,
-                          0.0, 1.0, mem_tol)
+                          0.0, 1.0)
     s = s[:max(m - 1, 0)]
     t = s ** 2
     z, w = np.array([segment.G(j) @ np.array([s[j], t[j]])
                      for j in range(m - 1)]).reshape(-1, 2).T
     # chain: uhat_1 <= z_1, uhat_j <= z_j + w_(j-1), uhat_m <= 1 + w_(m-1)
     chain = np.append(z, 1.0) + np.insert(w, 0, 0.0)
-    ok = bool(np.all(u >= -mem_tol) and np.all(uhat <= chain + mem_tol)
-              and np.all(z >= -mem_tol) and np.all(z <= 1 + mem_tol)
-              and np.all(w >= -1 - mem_tol) and np.all(w <= mem_tol)
-              and np.all(z + w >= -mem_tol))
+    ok = bool(np.all(u >= -MEM_TOL) and np.all(uhat <= chain + MEM_TOL)
+              and np.all(z >= -MEM_TOL) and np.all(z <= 1 + MEM_TOL)
+              and np.all(w >= -1 - MEM_TOL) and np.all(w <= MEM_TOL)
+              and np.all(z + w >= -MEM_TOL))
     return ok, {"uhat": uhat, "s": s, "t": t, "z": z, "w": w}

@@ -60,9 +60,6 @@ class LinearPiece:
     c: float
     d: float
 
-    def value(self, theta):
-        return self.c * theta + self.d
-
 
 def eval_interval(piece: LinearPiece, iv: Interval) -> float:
     """Utility of ``iv`` under ``piece``: integral of c*theta + d over [lo, hi].
@@ -166,7 +163,6 @@ class MarketInstance:
     d: np.ndarray              # (n, K) intercepts, normalized scale
     mode: str = LINEAR
     value_scales: np.ndarray = None   # raw per-buyer totals (linear) / common scale (QL)
-    budget_scale: float = 1.0         # raw budget total
     total_values: np.ndarray = field(default=None, repr=False)  # v_i([0,1]) post-normalization
 
     def __post_init__(self):
@@ -180,9 +176,6 @@ class MarketInstance:
     @property
     def num_segments(self) -> int:
         return self.grid.num_segments
-
-    def piece(self, i: int, k: int) -> LinearPiece:
-        return LinearPiece(self.c[i, k], self.d[i, k])
 
     def segment_values(self) -> np.ndarray:
         """(n, K) matrix of per-buyer per-segment total values Lambda[i, k]."""
@@ -281,7 +274,7 @@ def build_instance(budgets, breakpoints, c, d, mode: str = LINEAR) -> MarketInst
         c = c / budget_scale
         d = d / budget_scale
     return MarketInstance(budgets=budgets, grid=grid, c=c, d=d, mode=mode,
-                          value_scales=value_scales, budget_scale=budget_scale)
+                          value_scales=value_scales)
 
 
 def merge_valuations(valuations):
@@ -333,9 +326,3 @@ def load_instance(source) -> MarketInstance:
                               mode=mode)
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed instance document: {exc}") from exc
-
-
-def save_instance(instance: MarketInstance, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(instance.to_document(), fh, indent=1)
-        fh.write("\n")

@@ -25,6 +25,8 @@ _TINY = np.finfo(float).tiny
 
 KKT_TOL = 1e-6
 FAIR_TOL = 1e-6
+ORACLE_GAP_TOL = 1e-8      # discretized gap at which proportional response stops
+ORACLE_MAX_ROUNDS = 500000
 
 
 @dataclass
@@ -241,8 +243,7 @@ class OracleResult:
                 "rounds": self.rounds, "cells": self.cells}
 
 
-def discretized_oracle(instance: MarketInstance, m: int, gap_tol: float = 1e-8,
-                       max_rounds: int = 500000) -> OracleResult:
+def discretized_oracle(instance: MarketInstance, m: int) -> OracleResult:
     """Proportional response dynamics on the m-cell discretization.
 
     Linear mode: bids b_ij <- B_i v_ij x_ij / u_i, prices p_j = sum_i b_ij,
@@ -250,9 +251,9 @@ def discretized_oracle(instance: MarketInstance, m: int, gap_tol: float = 1e-8,
     slot of unit price absorbing unspent budget, so buyers whose value per
     unit money falls below one end up with beta_i = 1.  The run stops when
     the discretized market's own duality-gap certificate (checked
-    periodically on the implied beta_i = B_i / u_i) drops below gap_tol, so
-    the returned prices are within sqrt(2 * gap_tol / min B) of the
-    discretized optimum.
+    periodically on the implied beta_i = B_i / u_i) drops below
+    ORACLE_GAP_TOL, so the returned prices are within
+    sqrt(2 * ORACLE_GAP_TOL / min B) of the discretized optimum.
 
     Bids on cells a buyer loses decay geometrically and would otherwise fill
     x with subnormal floats, which make every later round several times
@@ -291,7 +292,7 @@ def discretized_oracle(instance: MarketInstance, m: int, gap_tol: float = 1e-8,
     won = np.empty_like(x)
     rounds = 0
     gap = np.inf
-    for rounds in range(1, max_rounds + 1):
+    for rounds in range(1, ORACLE_MAX_ROUNDS + 1):
         np.multiply(V, x, out=won)
         u = won.sum(axis=1)
         total = u + idle if ql else np.maximum(u, 1e-300)
@@ -301,15 +302,15 @@ def discretized_oracle(instance: MarketInstance, m: int, gap_tol: float = 1e-8,
         p = won.sum(axis=0)
         np.divide(won, np.maximum(p, 1e-300)[None, :], out=x)
         x[x < _TINY] = 0.0
-        if rounds % 64 == 0 or rounds == max_rounds:
+        if rounds % 64 == 0 or rounds == ORACLE_MAX_ROUNDS:
             u_prog = (V * x).sum(axis=1) + idle
             gap = certificate(u_prog, idle)
-            if gap <= gap_tol:
+            if gap <= ORACLE_GAP_TOL:
                 break
     else:
         raise NotConverged(
             f"proportional response certificate stuck at {gap:.3e} "
-            f"after {max_rounds} rounds", result=None, gap=gap)
+            f"after {ORACLE_MAX_ROUNDS} rounds", result=None, gap=gap)
     u_prog = (V * x).sum(axis=1) + idle
     beta = B / u_prog
     if ql:

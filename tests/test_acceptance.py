@@ -173,7 +173,7 @@ def test_acceptance_7_bench_scaling(tmp_path):
     # a fresh interpreter, so that OpenBLAS starts with one thread: waking a
     # second BLAS thread adds tens of milliseconds to the first 100x100 cell,
     # which is noise in a K-doubling ratio of cells taking about 0.1 s
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", FISHER_FAIR_THREADS="1",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(
                    [os.path.dirname(os.path.dirname(fisher_fair.__file__)),
                     os.environ.get("PYTHONPATH", "")]))

@@ -134,8 +134,7 @@ def test_plot_data_csv(tmp_path, ex5_file):
     assert np.allclose(data[:, 1], data[:, 2:].max(axis=1), atol=1e-10)
 
 
-def test_bench_csv_shape(tmp_path, monkeypatch):
-    monkeypatch.setenv("FISHER_FAIR_THREADS", "1")
+def test_bench_csv_shape(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--grid", "3:2", "--seeds", "1,2,3",
                  "--gap-tol", "1e-6", "--out", str(out)]) == 0
@@ -145,8 +144,7 @@ def test_bench_csv_shape(tmp_path, monkeypatch):
     assert rows[1][:3] == ["3", "2", "3"]
 
 
-def test_bench_work_columns(tmp_path, monkeypatch):
-    monkeypatch.setenv("FISHER_FAIR_THREADS", "1")
+def test_bench_work_columns(tmp_path):
     out = tmp_path / "bench.csv"
     assert main(["bench", "--grid", "3,4:2", "--seeds", "1,2",
                  "--out", str(out)]) == 0
@@ -163,15 +161,6 @@ def test_bench_empty_grid(tmp_path):
     assert main(["bench", "--grid", ":", "--seeds", "1", "--out", str(out)]) == 0
     rows = list(csv.reader(open(out)))
     assert len(rows) == 1  # header only
-
-
-def test_bench_parallel_pool(tmp_path, monkeypatch):
-    monkeypatch.setenv("FISHER_FAIR_THREADS", "2")
-    out = tmp_path / "par.csv"
-    assert main(["bench", "--grid", "2,3:2", "--seeds", "1,2", "--out",
-                 str(out)]) == 0
-    rows = list(csv.reader(open(out)))
-    assert len(rows) == 3  # header + two cells
 
 
 def test_ellipsoid_command_with_log(tmp_path, capsys):
@@ -261,12 +250,6 @@ def test_plot_data_result_wrong_types_exit_one(tmp_path, ex5_file, capsys, beta)
 
 def test_bench_bad_seeds_exits_one(capsys):
     assert main(["bench", "--grid", "3:2", "--seeds", "1,x"]) == 1
-    assert "error:" in capsys.readouterr().err
-
-
-def test_bench_bad_thread_count_exits_one(monkeypatch, capsys):
-    monkeypatch.setenv("FISHER_FAIR_THREADS", "x")
-    assert main(["bench", "--grid", "3:2", "--seeds", "1"]) == 1
     assert "error:" in capsys.readouterr().err
 
 

@@ -303,11 +303,14 @@ def test_flat_psi_ends_polish_when_best_iterate_stops_improving():
     assert result.iterations <= 422
 
 
-@pytest.mark.parametrize("seed", [None, 1], ids=["example5", "50x50"])
-def test_every_evaluation_at_a_distinct_beta(example5, monkeypatch, seed):
+@pytest.mark.parametrize("shape", [None, (50, 50, 1), (80, 5, 1193474401)],
+                         ids=["example5", "50x50", "80x5"])
+def test_every_evaluation_at_a_distinct_beta(example5, monkeypatch, shape):
     # the result is built from the best iterate's stored evaluation, not by
-    # evaluating the envelope again at a beta already evaluated
-    inst = example5 if seed is None else sample_instance(50, 50, seed)
+    # evaluating the envelope again at a beta already evaluated; in the 80x5
+    # case (perfbench crowded --seed 9814, case 1) a line search halves its
+    # step below the float spacing at beta, so later trials would equal beta
+    inst = example5 if shape is None else sample_instance(*shape)
     betas = []
     evaluate = dual_solver.dual_subgradient
 

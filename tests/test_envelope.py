@@ -8,7 +8,6 @@ from fisher_fair import (
     build_instance,
     dual_objective,
     dual_subgradient,
-    integral,
     solve,
     upper_envelope,
     winning_utilities,
@@ -90,18 +89,18 @@ def test_envelope_dominance_dense(example5, random_instance):
 def test_integral_at_optimum_is_budget_mass(example5, random_instance):
     for inst in [example5, random_instance(5, 3, seed=21)]:
         res = solve(inst)
-        assert integral(upper_envelope(inst, res.beta)) == pytest.approx(1.0, abs=1e-6)
+        assert upper_envelope(inst, res.beta).integral() == pytest.approx(1.0, abs=1e-6)
 
 
 def test_integral_zero_function():
     f = PiecewiseLinearFunction(breakpoints=np.array([0.0, 1.0]),
                                 cs=np.zeros(1), ds=np.zeros(1))
-    assert integral(f) == 0.0
+    assert f.integral() == 0.0
 
 
 def test_integral_example5_weighted_utilities(example5):
     env = upper_envelope(example5, EX5_BETA)
-    assert integral(env) == pytest.approx(float(EX5_BETA @ EX5_U), abs=1e-3)
+    assert env.integral() == pytest.approx(float(EX5_BETA @ EX5_U), abs=1e-3)
 
 
 def test_winning_utilities_example5(example5):
