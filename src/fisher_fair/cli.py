@@ -5,7 +5,7 @@ ellipsoid (the only path to the ellipsoid solver, with an optional ``--log``
 CSV), oracle, sample-instance, plot-data, bench.  Exit codes: 0 success
 (certified where applicable), 1 input or validation error, including result
 files that lack a required key or hold a value of the wrong type or shape,
-and malformed ``bench`` arguments, 2 solver
+malformed ``bench`` arguments and usage errors, 2 solver
 finished without a certificate (the best iterate is still written).
 ``bench`` times each (n, k, seed) cell as the fastest of three build+solve
 runs, one cell at a time so that cells do not compete for cores, and appends
@@ -256,8 +256,17 @@ def _stderr(a):
     return float(a.std(ddof=1) / math.sqrt(a.size))
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors exit 1, like every input error;
+    exit code 2 means a solver finished without a certificate."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fisher-fair",
         description="Market equilibria and fair divisions of [0, 1] under "
                     "piecewise-linear valuations")

@@ -46,13 +46,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import dual_objective, winning_utility_matrix
+from .envelope import upper_envelope, winning_utility_matrix
 from .errors import NumericalBreakdown, ValidationError
 # cut and partition_segment are unused here; perfbench/spans.py patches the
 # names ellipsoid.cut and ellipsoid.partition_segment
 from .feasible import greedy_cuts, membership, normalize_segment, partition_segment  # noqa: F401
 from .market import MarketInstance, cut  # noqa: F401
-from .dual_solver import PureAllocation, duality_gap, pure_allocation
+from .dual_solver import EquilibriumResult, duality_gap, pure_allocation
 
 _CAP_MULTIPLIER = 4.0
 _EPS_MARGIN = 256.0
@@ -66,24 +66,19 @@ class PerturbedSystem:
     """Enlarged linear system A y <= b plus exact parabola pairs, in
     y = (uhat, s, t).
 
-    ``uhat_index`` maps (k, j) and ``aux_index`` maps ("s" | "t", k, j) to
-    positions in y; uhat fills y[:num_slots], then s and t one block each, so
-    the parabola pairs are (s_block[p], t_block[p]) for pair p.  ``slots``
-    lists (k, j, i) per uhat coordinate and ``pairs`` lists (k, j) per pair.
+    uhat fills y[:num_slots] in ``slots`` order, one (k, j, i) per
+    coordinate; s and t then fill one block each in ``pairs`` order, one
+    (k, j) per pair, so the parabola pairs are (s_block[p], t_block[p]).
     """
 
     instance: MarketInstance
-    eps: float                # user-facing accuracy target
     eps_internal: float       # chain enlargement and objective target
     A: np.ndarray
     b: np.ndarray
     segments: list
-    row_labels: list
     dim: int
     slots: list               # (k, j, i) per uhat coordinate
     pairs: list               # (k, j) per adjacent sorted pair
-    uhat_index: dict          # (k, j) -> index in y
-    aux_index: dict           # (name, k, j) -> index in y for s/t
     u_map: np.ndarray         # (n, dim): u = u_map @ y
     G_rows: np.ndarray        # (pairs, 4): z = a s + b t, w = c s + d t
     num_slots: int            # y[:num_slots] is uhat
@@ -108,13 +103,11 @@ class PerturbedSystem:
     def objective(self, y) -> float:
         return float(-np.dot(self.instance.budgets, np.log(self.u_map @ y)))
 
-    def gradient(self, y) -> np.ndarray:
-        return (-self.instance.budgets / (self.u_map @ y)) @ self.u_map
 
-
-def build_perturbed_system(instance: MarketInstance, eps: float,
+def build_perturbed_system(instance: MarketInstance,
                            eps_internal: float) -> PerturbedSystem:
-    """The rows of the module docstring, built directly in y."""
+    """The rows of the module docstring, built directly in y; a segment no
+    buyer values has no coordinates and no rows."""
     n = instance.n
     e = eps_internal
     segments = [normalize_segment(instance, k) for k in range(instance.num_segments)]
@@ -124,11 +117,6 @@ def build_perturbed_system(instance: MarketInstance, eps: float,
              for j in range(seg.num_active - 1)]
     S, P = len(slots), len(pairs)
     dim = S + 2 * P
-    uhat_index = {(k, j): p for p, (k, j, _) in enumerate(slots)}
-    aux_index = {}
-    for p, (k, j) in enumerate(pairs):
-        aux_index[("s", k, j)] = S + p
-        aux_index[("t", k, j)] = S + P + p
     u_map = np.zeros((n, dim))
     for p, (k, _, i) in enumerate(slots):
         u_map[i, p] = segments[k].lam[i]
@@ -139,60 +127,56 @@ def build_perturbed_system(instance: MarketInstance, eps: float,
 
     rows = []
     rhs = []
-    labels = []
 
-    def leq(terms, bound, label):
+    def leq(terms, bound):
         """sum of coef * y[col] over (col, coef) terms <= bound."""
         row = np.zeros(dim)
         for col, coef in terms:
             row[col] += coef
         rows.append(row)
         rhs.append(bound)
-        labels.append(label)
 
-    def link(name, k, j, sign=1.0):
-        """Terms of sign * z_kj (name "z") or sign * w_kj (name "w") in y."""
-        s_i, t_i = aux_index[("s", k, j)], aux_index[("t", k, j)]
-        a, b = G_rows[s_i - S, (0, 1) if name == "z" else (2, 3)]
-        return [(s_i, sign * a), (t_i, sign * b)]
+    def link(name, p, sign=1.0):
+        """Terms of sign * z (name "z") or sign * w (name "w") of pair p in y."""
+        a, b = G_rows[p, (0, 1) if name == "z" else (2, 3)]
+        return [(S + p, sign * a), (S + P + p, sign * b)]
 
     B = instance.budgets
     for i in range(n):
         u_terms = [(col, u_map[i, col]) for col in np.flatnonzero(u_map[i])]
-        leq(u_terms, 1.0, f"u[{i}]<=1")
-        leq([(col, -v) for col, v in u_terms], -min(B[i], e / 2.0), f"u[{i}]>=lb")
-    for k, seg in enumerate(segments):
+        leq(u_terms, 1.0)
+        leq([(col, -v) for col, v in u_terms], -min(B[i], e / 2.0))
+    u0 = p0 = 0                   # the segment's first uhat and first pair
+    for seg in segments:
         m = seg.num_active
-        uh = [uhat_index[(k, j)] for j in range(m)]
         for j in range(m):
-            leq([(uh[j], -1.0)], 0.0, f"uhat[{k}][{j}]>=0")
+            leq([(u0 + j, -1.0)], 0.0)
         if m == 1:
-            leq([(uh[0], 1.0)], 1.0 + e, f"chain[{k}][0]")
-            continue
-        leq([(uh[0], 1.0)] + link("z", k, 0, -1.0), e, f"chain[{k}][0]")
-        for j in range(1, m - 1):
-            # -(value of buyer j's interval) = -(z_j + w_(j-1))
-            interval = link("z", k, j, -1.0) + link("w", k, j - 1, -1.0)
-            leq([(uh[j], 1.0)] + interval, e, f"chain[{k}][{j}]")
-            leq(interval, 0.0, f"order[{k}][{j}]")
-        leq([(uh[m - 1], 1.0)] + link("w", k, m - 2, -1.0), 1.0 + e,
-            f"chain[{k}][{m - 1}]")
-        for j in range(m - 1):
-            s_i, t_i = aux_index[("s", k, j)], aux_index[("t", k, j)]
-            leq(link("z", k, j), 1.0, f"z[{k}][{j}]<=1")
-            leq(link("z", k, j, -1.0), 0.0, f"z[{k}][{j}]>=0")
-            leq(link("w", k, j), 0.0, f"w[{k}][{j}]<=0")
-            leq(link("w", k, j, -1.0), 1.0, f"w[{k}][{j}]>=-1")
-            leq([(s_i, 1.0)], 1.0, f"s[{k}][{j}]<=1")
-            leq([(s_i, -1.0)], 0.0, f"s[{k}][{j}]>=0")
-            leq([(t_i, 1.0)], 1.0, f"t[{k}][{j}]<=1")
-            leq([(t_i, -1.0)], 0.0, f"t[{k}][{j}]>=0")
+            leq([(u0, 1.0)], 1.0 + e)
+        elif m > 1:
+            leq([(u0, 1.0)] + link("z", p0, -1.0), e)
+            for j in range(1, m - 1):
+                # -(value of buyer j's interval) = -(z_j + w_(j-1))
+                interval = link("z", p0 + j, -1.0) + link("w", p0 + j - 1, -1.0)
+                leq([(u0 + j, 1.0)] + interval, e)
+                leq(interval, 0.0)
+            leq([(u0 + m - 1, 1.0)] + link("w", p0 + m - 2, -1.0), 1.0 + e)
+            for p in range(p0, p0 + m - 1):
+                leq(link("z", p), 1.0)
+                leq(link("z", p, -1.0), 0.0)
+                leq(link("w", p), 0.0)
+                leq(link("w", p, -1.0), 1.0)
+                leq([(S + p, 1.0)], 1.0)
+                leq([(S + p, -1.0)], 0.0)
+                leq([(S + P + p, 1.0)], 1.0)
+                leq([(S + P + p, -1.0)], 0.0)
+            p0 += m - 1
+        u0 += m
     return PerturbedSystem(
-        instance=instance, eps=eps, eps_internal=e,
-        A=np.asarray(rows), b=np.asarray(rhs), segments=segments,
-        row_labels=labels, dim=dim, slots=slots, pairs=pairs,
-        uhat_index=uhat_index, aux_index=aux_index, u_map=u_map, G_rows=G_rows,
-        num_slots=S, s_block=slice(S, S + P), t_block=slice(S + P, dim))
+        instance=instance, eps_internal=e, A=np.asarray(rows), b=np.asarray(rhs),
+        segments=segments, dim=dim, slots=slots, pairs=pairs, u_map=u_map,
+        G_rows=G_rows, num_slots=S, s_block=slice(S, S + P),
+        t_block=slice(S + P, dim))
 
 
 def feasible_start(system: PerturbedSystem) -> np.ndarray:
@@ -214,67 +198,56 @@ def feasible_start(system: PerturbedSystem) -> np.ndarray:
 
 
 def separation_oracle(system: PerturbedSystem, y):
-    """None when y satisfies every constraint; otherwise (normal, kind, which).
+    """None when y satisfies every constraint; otherwise (normal, kind, depth).
 
-    Linear rows return their coefficient row; a violated parabola pair
-    (s0, t0) with s0^2 > t0 returns the tangent-line normal: +2 s0 on the s
-    coordinate and -1 on the t coordinate.
+    Linear rows return their coefficient row and residual; a violated
+    parabola pair (s0, t0) with s0^2 > t0 returns the tangent-line normal,
+    +2 s0 on the s coordinate and -1 on the t coordinate, and the violation
+    of the tangent 2 s0 s - t <= s0^2 it keeps.
     """
     res = system.A @ y
     res -= system.b
     worst = int(res.argmax())
     if res[worst] > 0.0:
-        return system.A[worst].copy(), "linear", system.row_labels[worst]
+        g = system.A[worst].copy()
+        return g, "linear", float(g @ y) - system.b[worst]
     s, t = y[system.s_block], y[system.t_block]
     viol = s * s > t
     if viol.any():
         p = int(viol.argmax())
         g = np.zeros(system.dim)
-        s_i, t_i = system.s_block.start + p, system.t_block.start + p
-        g[s_i] = 2.0 * s[p]
-        g[t_i] = -1.0
-        return g, "quadratic", f"s^2<=t at ({s_i},{t_i})"
+        g[system.s_block.start + p] = 2.0 * s[p]
+        g[system.t_block.start + p] = -1.0
+        # s0^2 as (g.max() / 2)^2 through pow: s0 * s0 rounds differently
+        return g, "quadratic", float(g @ y) - 0.25 * float(g.max()) ** 2
     return None
 
 
 def first_order_oracle(system: PerturbedSystem, y) -> np.ndarray:
     """Gradient of -sum_i B_i log u_i in y: E_u' (-B / u), E_u = ``u_map``."""
-    return system.gradient(y)
+    return (-system.instance.budgets / (system.u_map @ y)) @ system.u_map
 
 
-@dataclass
-class EllipsoidResult:
-    u: np.ndarray
-    useg: np.ndarray
-    beta: np.ndarray
-    allocation: PureAllocation
+@dataclass(kw_only=True)
+class EllipsoidResult(EquilibriumResult):
+    """An equilibrium result whose ``iterations`` count oracle calls, plus the
+    ellipsoid's own record."""
+
     objective: float
-    gap: float
-    calls: int
     call_budget: int
     dim: int
     certified: bool
     eps: float
-    eps_internal: float
     log: list = field(default_factory=list, repr=False)
 
+    @property
+    def calls(self) -> int:
+        return self.iterations
+
     def to_json(self):
-        doc = {
-            "mode": "linear",
-            "beta": self.beta.tolist(),
-            "u": self.u.tolist(),
-            "u_segments": self.useg.tolist(),
-            "gap": self.gap,
-            "iterations": self.calls,
-            "objective": self.objective,
-            "calls": self.calls,
-            "call_budget": self.call_budget,
-            "dim": self.dim,
-            "certified": self.certified,
-            "eps": self.eps,
-        }
-        doc.update(self.allocation.to_json())
-        return doc
+        return {**super().to_json(), "objective": self.objective,
+                "calls": self.calls, "call_budget": self.call_budget,
+                "dim": self.dim, "certified": self.certified, "eps": self.eps}
 
 
 def _discounted_utilities(system: PerturbedSystem, y):
@@ -340,7 +313,7 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     kappa = 1.0 / float(B.min())
     K = instance.num_segments
     eps_internal = eps / (_EPS_MARGIN * (2.0 * kappa + K + 1.0))
-    system = build_perturbed_system(instance, eps, eps_internal)
+    system = build_perturbed_system(instance, eps_internal)
     d = system.dim
     c = feasible_start(system)    # the center, updated in place
     radius = 2.0 * math.sqrt(d)
@@ -363,7 +336,6 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     W = np.empty((_FOLD, d))
     rank = 0
     scale = radius * radius
-    row_of = {label: r for r, label in enumerate(system.row_labels)}
     while iteration < budget:
         iteration += 1
         sep = separation_oracle(system, c)
@@ -379,12 +351,7 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
             # f(x) >= f(c) + g'(x - c): keeping {f <= f_best} cuts this deep
             depth = fval - best_objective
         else:
-            g, kind, which = sep
-            if kind == "linear":
-                depth = float(g @ c) - system.b[row_of[which]]
-            else:
-                # tangent (2 s0, -1) at (s0, t0) keeps 2 s0 s - t <= s0^2
-                depth = float(g @ c) - 0.25 * float(g.max()) ** 2
+            g, kind, depth = sep
         Qg = Q @ g
         if rank:
             Wr = W[:rank]
@@ -447,10 +414,12 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     allocation, useg = pure_allocation(instance, useg)
     u = useg.sum(axis=1)
     beta = np.clip(B / np.maximum(u, 1e-300), B, 1.0)
-    gap = duality_gap(instance, beta, dual_objective(instance, beta), u)[0]
+    env = upper_envelope(instance, beta)
+    psi = env.integral() - float(np.dot(B, np.log(beta)))
+    gap = duality_gap(instance, beta, psi, u)[0]
     certified = certified and gap <= eps
     return EllipsoidResult(
-        u=u, useg=useg, beta=beta, allocation=allocation,
-        objective=float(best_objective), gap=float(gap),
-        calls=iteration, call_budget=budget, dim=d, certified=bool(certified),
-        eps=eps, eps_internal=eps_internal, log=log)
+        beta=beta, u=u, useg=useg, allocation=allocation, prices=env,
+        gap=float(gap), iterations=iteration, mode=instance.mode,
+        objective=float(best_objective), call_budget=budget, dim=d,
+        certified=bool(certified), eps=eps, log=log)

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InfeasibleUtilities, ValidationError
-from .market import Interval, LinearPiece, MarketInstance, cut, eval_interval
+from .market import QUASILINEAR, Interval, LinearPiece, MarketInstance, cut, eval_interval
 
 LAMBDA_FLOOR = 1e-14   # segment value below which a buyer is inactive there
 MEM_TOL = 1e-9         # slack allowed against remaining capacity in greedy cuts
@@ -289,7 +289,7 @@ class ConicProgram:
 
 
 class ConicBuilder:
-    """Incremental builder used by program emission and by tests."""
+    """Incremental builder of a conic program's variables, rows and cones."""
 
     def __init__(self):
         self.names = []
@@ -314,8 +314,7 @@ class ConicBuilder:
         return s
 
 
-def build_conic_representation(segment: NormalizedSegment, builder=None,
-                               uhat_vars=None):
+def build_conic_representation(segment: NormalizedSegment, builder=None):
     """Append the feasibility block of one normalized segment to a builder.
 
     The block states, over the sorted rescaled utilities uhat: the chain
@@ -324,20 +323,20 @@ def build_conic_representation(segment: NormalizedSegment, builder=None,
     on the standard parabola epigraph t >= s^2 encoded as the second-order
     triple ((1+t)/2, (1-t)/2, s); and the boxes 0 <= z <= 1, -1 <= w <= 0,
     z + w >= 0.  w is stored negated (wneg = -w >= 0) so it fits the
-    nonnegative cone.  Returns (builder, uhat_vars).
+    nonnegative cone.  A segment no buyer values adds nothing.  Returns
+    (builder, uhat_vars).
     """
     bld = builder if builder is not None else ConicBuilder()
     k = segment.index
     m = segment.num_active
-    if uhat_vars is None:
-        uhat_vars = [bld.var(f"uhat[{k}][{j}]", nonneg=True) for j in range(m)]
+    uhat_vars = [bld.var(f"uhat[{k}][{j}]", nonneg=True) for j in range(m)]
     z = [bld.var(f"z[{k}][{j}]", nonneg=True) for j in range(m - 1)]
     wneg = [bld.var(f"wneg[{k}][{j}]", nonneg=True) for j in range(m - 1)]
     s_var = [bld.var(f"s[{k}][{j}]") for j in range(m - 1)]
     t_var = [bld.var(f"t[{k}][{j}]") for j in range(m - 1)]
     if m == 1:
         bld.leq([uhat_vars[0]], [1.0], 1.0, f"slchain[{k}][0]")
-    else:
+    elif m > 1:
         bld.leq([uhat_vars[0], z[0]], [1.0, -1.0], 0.0, f"slchain[{k}][0]")
         for j in range(1, m - 1):
             bld.leq([uhat_vars[j], z[j], wneg[j - 1]], [1.0, -1.0, 1.0], 0.0,
@@ -367,8 +366,10 @@ def emit_conic_program(instance: MarketInstance) -> ConicProgram:
     Maximizes sum_i B_i log(sum_k u_ik) over per-segment feasible utilities,
     written as min -sum_i B_i q_i with exponential-cone triples (u_i, 1, q_i),
     utility-splitting rows u_i = sum_k u_ik and scaling rows
-    u_{sigma_k(j), k} = Lambda * uhat_jk.  The solution vector maps back to
-    utilities via ``conic_solution_utilities``.
+    u_{sigma_k(j), k} = Lambda * uhat_jk.  In quasilinear mode u_i also
+    counts the money delta_i >= 0 buyer i keeps, and the minimized objective
+    adds sum_i delta_i.  The solution vector maps back to utilities via
+    ``conic_solution_utilities``.
     """
     bld = ConicBuilder()
     n = instance.n
@@ -377,6 +378,8 @@ def emit_conic_program(instance: MarketInstance) -> ConicProgram:
     u_i = [bld.var(f"u[{i}]") for i in range(n)]
     ones = [bld.var(f"one[{i}]") for i in range(n)]
     q_i = [bld.var(f"q[{i}]") for i in range(n)]
+    delta = ([bld.var(f"delta[{i}]", nonneg=True) for i in range(n)]
+             if instance.mode == QUASILINEAR else [])
     useg = {}
     for k, seg in enumerate(segments):
         for i in seg.active:
@@ -384,6 +387,8 @@ def emit_conic_program(instance: MarketInstance) -> ConicProgram:
     for i in range(n):
         bld.row([ones[i]], [1.0], 1.0)
         cols = [u_i[i]] + [useg[(i, k)] for k in range(K) if (i, k) in useg]
+        if delta:
+            cols.append(delta[i])
         bld.row(cols, [1.0] + [-1.0] * (len(cols) - 1), 0.0)
         bld.cones.append({"type": "exp3", "vars": [u_i[i], ones[i], q_i[i]]})
     for k, seg in enumerate(segments):
@@ -393,6 +398,7 @@ def emit_conic_program(instance: MarketInstance) -> ConicProgram:
     objective = np.zeros(len(bld.names))
     for i in range(n):
         objective[q_i[i]] = -instance.budgets[i]
+    objective[delta] = 1.0
     cones = [{"type": "nonneg", "vars": bld.nonneg}] + bld.cones
     return ConicProgram(objective=objective, rows=bld.rows, cones=cones,
                         var_names=bld.names, meta={"n": n, "K": K})

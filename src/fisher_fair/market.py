@@ -26,7 +26,6 @@ import numpy as np
 from .errors import DegeneratePiece, UnreachableUtility, ValidationError
 
 GRID_EPS = 1e-12    # breakpoint dedup tolerance
-CUT_TOL = 1e-10     # eval(cut(...)) roundtrip tolerance
 NONNEG_TOL = 1e-5   # how negative a density may be at a segment endpoint;
                     # loose enough for coefficient tables printed to 4 decimals
 

@@ -94,6 +94,44 @@ def test_ellipsoid_command_cross_checks_dual(tmp_path):
     assert np.abs(ud - ue).max() <= 5e-4
 
 
+def test_ellipsoid_result_passes_verify(tmp_path):
+    inst_path = tmp_path / "inst.json"
+    assert main(["sample-instance", "--n", "3", "--k", "2", "--seed", "11",
+                 "--out", str(inst_path)]) == 0
+    ell_out = tmp_path / "ell.json"
+    assert main(["ellipsoid", "--instance", str(inst_path), "--epsilon", "1e-4",
+                 "--out", str(ell_out)]) == 0
+    report = tmp_path / "rep.json"
+    assert main(["verify", "--instance", str(inst_path), "--result", str(ell_out),
+                 "--tol", "1e-3", "--out", str(report)]) == 0
+    rep = json.loads(report.read_text())
+    assert rep["kkt"]["pass"] and rep["fairness"]["pass"]
+
+
+def test_segment_no_buyer_values_commands(tmp_path):
+    # [0, 0.5] is worth nothing to either buyer
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps({
+        "mode": "linear", "budgets": [0.5, 0.5], "breakpoints": [0, 0.5, 1],
+        "c": [[0, 0], [0, 0]], "d": [[0, 1], [0, 2]]}))
+    out = tmp_path / "ell.json"
+    assert main(["ellipsoid", "--instance", str(inst_path), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["leftover"] == [[0.0, 0.5]]
+    assert main(["emit-conic", "--instance", str(inst_path),
+                 "--out", str(tmp_path / "conic.json")]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench", "--grid", "3:2", "--seeds", "1", "--gap-tol", "abc"],
+    ["solve", "--instance", "x.json", "--mode", "bogus"],
+], ids=["bench-gap-tol", "solve-mode"])
+def test_usage_errors_exit_one(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    assert "error:" in capsys.readouterr().err
+
+
 def test_emit_conic_and_oracle(tmp_path):
     inst_path = tmp_path / "inst.json"
     main(["sample-instance", "--n", "3", "--k", "2", "--seed", "2",

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fisher_fair import ValidationError, build_instance, solve
+from fisher_fair import EquilibriumResult, ValidationError, build_instance, solve
 from fisher_fair.ellipsoid import (
     _discounted_utilities,
     build_perturbed_system,
@@ -19,13 +19,23 @@ def small_system(example5):
     kappa = 1.0 / example5.budgets.min()
     eps = 1e-4
     eps_int = eps / (2 * kappa + example5.num_segments + 1)
-    return build_perturbed_system(example5, eps, eps_int)
+    return build_perturbed_system(example5, eps_int)
 
 
 def _uhat_of(system, i, k=0):
     """Index in y of buyer i's rescaled utility on segment k."""
-    j = int(np.flatnonzero(system.segments[k].order == i)[0])
-    return system.uhat_index[(k, j)]
+    return [(kk, ii) for kk, _, ii in system.slots].index((k, i))
+
+
+def _uhat_at(system, k, j):
+    """Index in y of the j-th sorted rescaled utility of segment k."""
+    return [(kk, jj) for kk, jj, _ in system.slots].index((k, j))
+
+
+def _st_of(system, k, j):
+    """Indices in y of the (s, t) pair of segment k's j-th adjacent pair."""
+    p = system.pairs.index((k, j))
+    return system.s_block.start + p, system.t_block.start + p
 
 
 def test_separation_tangent_normal(example5):
@@ -38,8 +48,7 @@ def test_separation_tangent_normal(example5):
     # last adjacent pair: its w only feeds the slack-rich final chain row
     seg = system.segments[0]
     j = seg.num_active - 2
-    s_idx = system.aux_index[("s", 0, j)]
-    t_idx = system.aux_index[("t", 0, j)]
+    s_idx, t_idx = _st_of(system, 0, j)
     y[s_idx], y[t_idx] = 0.5, 0.1
     full = system.expand(y)
     assert np.allclose(full["u"], system.eps_internal)
@@ -62,23 +71,27 @@ def test_separation_interior_point(example5):
 def test_separation_linear_row(example5):
     system = small_system(example5)
     y = feasible_start(system)
-    row = system.row_labels.index("u[0]>=lb")
+    # the row u_0 >= lb has coefficients -u_map[0]
+    row = next(r for r in range(system.A.shape[0])
+               if np.array_equal(system.A[r], -system.u_map[0]))
     # u_0 = uhat of buyer 0 here; far below its lower bound, and the row's
     # residual exceeds the uhat >= 0 row's by the bound itself
     y[_uhat_of(system, 0)] = -5.0
     assert system.expand(y)["u"][0] == pytest.approx(-5.0)
     result = separation_oracle(system, y)
     assert result is not None
-    g, kind, label = result
+    g, kind, depth = result
     assert kind == "linear"
-    assert label == "u[0]>=lb"
+    assert np.array_equal(g, -system.u_map[0])
     assert np.allclose(g, system.A[row])
+    assert depth == float(system.A[row] @ y) - system.b[row]
+    assert depth == pytest.approx(5.0 - system.b[row])
 
 
 def test_first_order_oracle_values():
     inst = build_instance([0.5, 0.5], [0, 1], [[0.0], [0.0]], [[1.0], [1.0]])
     kappa = 2.0
-    system = build_perturbed_system(inst, 1e-4, 1e-4 / (2 * kappa + 2))
+    system = build_perturbed_system(inst, 1e-4 / (2 * kappa + 2))
     cols = [_uhat_of(system, i) for i in range(2)]
     y = feasible_start(system)
     y[cols] = [0.5, 0.5]          # lam = 1, so u = uhat
@@ -96,7 +109,7 @@ def test_first_order_oracle_finite_differences(random_instance):
     # two segments, so every u_i sums lam-weighted uhat over both
     inst = random_instance(3, 2, seed=11)
     kappa = 1.0 / inst.budgets.min()
-    system = build_perturbed_system(inst, 1e-4, 1e-4 / (2 * kappa + 3))
+    system = build_perturbed_system(inst, 1e-4 / (2 * kappa + 3))
     rng = np.random.default_rng(3)
     y = feasible_start(system)
     y[:system.num_slots] = rng.uniform(0.2, 0.9, system.num_slots)
@@ -128,6 +141,28 @@ def test_example5_matches_dual(example5):
     assert np.abs(res.u - ref.u).max() <= 1e-3
     assert res.certified
     assert res.calls <= res.call_budget
+    # one result type: iterations are the oracle calls, prices the envelope
+    assert isinstance(res, EquilibriumResult)
+    assert res.iterations == res.calls
+    theta = np.array([0.1, 0.5, 0.9])
+    scaled = res.beta[:, None] * example5.values_at(theta)
+    assert np.allclose(res.prices(theta), scaled.max(axis=0), rtol=0, atol=1e-12)
+    doc = res.to_json()
+    assert doc["delta"] is None and doc["ql_net_utilities"] is None
+    assert doc["calls"] == doc["iterations"] == res.calls
+
+
+def test_segment_no_buyer_values():
+    # [0, 0.5] is worth nothing to either buyer: it has no coordinates and no
+    # rows, and the allocation leaves it over
+    inst = build_instance([0.5, 0.5], [0, 0.5, 1], [[0, 0], [0, 0]], [[0, 1], [0, 2]])
+    eps = 1e-4
+    res = ellipsoid_solve(inst, eps)
+    assert res.certified
+    assert res.gap <= eps
+    assert [iv.as_pair() for iv in res.allocation.leftover] == [(0.0, 0.5)]
+    assert np.abs(res.beta - solve(inst).beta).max() <= 5e-3
+    assert check_equilibrium(inst, res.allocation, res.beta, tol=10 * eps).passed
 
 
 def test_random_instance_cross_check(random_instance):
@@ -173,7 +208,7 @@ def test_volume_shrinks_at_canonical_rate():
     # dimension <= 10: run a few cuts and compare the per-step volume factor
     inst = build_instance([0.6, 0.4], [0, 1], [[0.2], [-0.2]], [[0.9], [1.1]])
     kappa = 1.0 / 0.4
-    system = build_perturbed_system(inst, 1e-3, 1e-3 / (2 * kappa + 2))
+    system = build_perturbed_system(inst, 1e-3 / (2 * kappa + 2))
     d = system.dim
     assert d <= 10
     x = feasible_start(system)
@@ -241,16 +276,16 @@ def _tight_target(system, rng):
                 cuts[j] = cuts[j - 1]
         cuts = np.clip(cuts + rng.normal(0.0, np.sqrt(e), cuts.size), 0.0, 1.0)
         for j, s in enumerate(cuts):
-            y[system.aux_index[("s", k, j)]] = s
-            y[system.aux_index[("t", k, j)]] = s * s
+            s_idx, t_idx = _st_of(system, k, j)
+            y[s_idx], y[t_idx] = s, s * s
     full = system.expand(y)
     for p, (k, j) in enumerate(system.pairs):
         # buyer j's interval value ends at z_j, buyer j + 1's starts at -w_j
-        y[system.uhat_index[(k, j)]] += full["z"][p]
-        y[system.uhat_index[(k, j + 1)]] += full["w"][p]
+        y[_uhat_at(system, k, j)] += full["z"][p]
+        y[_uhat_at(system, k, j + 1)] += full["w"][p]
     for k, seg in enumerate(system.segments):
         if seg.num_active:
-            y[system.uhat_index[(k, seg.num_active - 1)]] += 1.0
+            y[_uhat_at(system, k, seg.num_active - 1)] += 1.0
     S = system.num_slots
     y[:S] = np.maximum(y[:S] + e, 0.0)
     return y
@@ -296,7 +331,7 @@ def test_discount_restores_exact_membership(eps_internal):
     for trial in range(16):
         n, k = 1 + trial // 4, 1 + trial % 4
         inst = sample_instance(n, k, seed=int(rng.integers(1 << 31)))
-        system = build_perturbed_system(inst, 1e-4, eps_internal)
+        system = build_perturbed_system(inst, eps_internal)
         for y in _inside_points(system, rng, 12):
             full = system.expand(y)
             # the links, to roundoff

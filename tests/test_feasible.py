@@ -473,11 +473,13 @@ def construct_solution_vector(program, instance, result):
     from fisher_fair.feasible import normalize_segment as norm_seg
     x = np.zeros(program.num_vars)
     idx = {name: i for i, name in enumerate(program.var_names)}
-    u = result.useg.sum(axis=1)
+    u = result.u
     for i in range(instance.n):
         x[idx[f"u[{i}]"]] = u[i]
         x[idx[f"one[{i}]"]] = 1.0
         x[idx[f"q[{i}]"]] = np.log(u[i])
+        if result.delta is not None:
+            x[idx[f"delta[{i}]"]] = result.delta[i]
     for k in range(instance.num_segments):
         seg = norm_seg(instance, k)
         m = seg.num_active
@@ -510,18 +512,28 @@ def construct_solution_vector(program, instance, result):
     return x
 
 
-def test_emitted_program_accepts_equilibrium(example6):
-    program = emit_conic_program(example6)
-    result = solve(example6)
-    x = construct_solution_vector(program, example6, result)
-    assert program.residuals(x).max() <= 1e-8
-    assert program.cone_violations(x) <= 1e-8
-    # objective value equals minus the budget-weighted log utilities
-    z = float(np.dot(example6.budgets, np.log(result.u)))
-    assert float(program.objective @ x) == pytest.approx(-z, abs=1e-9)
-    u_back, useg_back = conic_solution_utilities(program, x)
-    assert np.allclose(u_back, result.useg.sum(axis=1), atol=1e-12)
-    assert np.allclose(useg_back, result.useg, atol=1e-12)
+def test_emitted_program_accepts_equilibrium(example6, random_instance):
+    # quasilinear: in the second instance buyer 0 keeps all its money and
+    # gets an allocation worth 0, which only the delta variables make feasible
+    ql_tie = build_instance([0.5, 0.5], [0, 1], [[0.4], [0.8]], [[0.3], [0.6]],
+                            mode="quasilinear")
+    for inst in (example6, random_instance(3, 2, seed=5, mode="quasilinear"), ql_tie):
+        program = emit_conic_program(inst)
+        result = solve(inst)
+        x = construct_solution_vector(program, inst, result)
+        assert program.residuals(x).max() <= 1e-8
+        assert program.cone_violations(x) <= 1e-8
+        # objective value equals minus the budget-weighted log utilities,
+        # plus the money kept in quasilinear mode
+        z = float(np.dot(inst.budgets, np.log(result.u)))
+        if result.delta is not None:
+            z -= float(result.delta.sum())
+        assert float(program.objective @ x) == pytest.approx(-z, abs=1e-9)
+        u_back, useg_back = conic_solution_utilities(program, x)
+        assert np.allclose(u_back, result.u, atol=1e-12)
+        assert np.allclose(useg_back, result.useg, atol=1e-12)
+    assert result.delta[0] == pytest.approx(0.5)
+    assert np.all(result.useg[0] == 0.0)
 
 
 def test_transform_consistency_random_segments(random_instance):
