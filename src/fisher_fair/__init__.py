@@ -49,7 +49,6 @@ from .dual_solver import (
     SolveConfig,
     allocation_from_beta,
     duality_constant,
-    quasilinear_postprocess,
     solve,
 )
 

@@ -3,7 +3,10 @@
 The dual psi(beta) = integral(max_i beta_i v_i) - sum_i B_i log beta_i is
 minimized over the box containing the optimum.  Every winning-set evaluation
 also yields a feasible primal value (the winning sets are an actual
-allocation), so sum_i B_i log u_i + C is a lower bound on the optimum of psi.
+allocation), so sum_i B_i log u_i + C is a lower bound on the optimum of psi;
+in quasilinear mode each buyer also keeps delta_i = max(B_i - u_i, 0), which
+makes the bound sum_i (B_i log(u_i + delta_i) - delta_i) + C finite at every
+beta.  ``_primal`` gives this bound to the loop and to every certificate.
 The loop's gap at an iterate is psi there minus the best such bound seen over
 all iterates so far; it picks the best iterate and ends the loop, but it is
 not the gap of the returned allocation, which the result reports on its own
@@ -53,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .envelope import PiecewiseLinearFunction, beta_bounds, dual_subgradient
-from .errors import NotConverged
+from .errors import DomainError, NotConverged
 from .feasible import partition_segment
 from .market import Interval, MarketInstance, QUASILINEAR
 
@@ -111,14 +114,14 @@ class PureAllocation:
 @dataclass
 class EquilibriumResult:
     beta: np.ndarray
-    u: np.ndarray                 # utilities of the extracted allocation
+    u: np.ndarray                 # allocation's utilities, plus delta if quasilinear
     useg: np.ndarray              # (n, K) per-segment utilities
     allocation: PureAllocation
     prices: PiecewiseLinearFunction
     gap: float
     iterations: int
     mode: str
-    delta: np.ndarray = None      # quasilinear slack, None in linear mode
+    delta: np.ndarray = None      # money kept, max(B - u, 0); None if linear
     ql_net_utilities: np.ndarray = None
     gap_history: list = None      # the loop's best gap after each evaluation,
                                   # against the running primal bound; not ``gap``
@@ -166,20 +169,20 @@ def duality_constant(instance: MarketInstance) -> float:
     return float(B.sum() - np.dot(B, np.log(B)))
 
 
-def _primal_value(instance, w):
-    """Best primal objective achievable from winning utilities w.
-
-    Linear mode: sum_i B_i log w_i (-inf when some w_i is 0).  Quasilinear
-    mode: delta_i = max(0, B_i - w_i) tops utilities up to the unconstrained
-    maximizer of B_i log(w_i + delta) - delta.
-    """
+def _primal(instance, u):
+    """(primal objective without C, program utilities, delta) of an
+    allocation worth u.  Linear mode: sum_i B_i log u_i, -inf when some u_i
+    is 0, and delta None.  Quasilinear mode: each buyer keeps the money
+    delta_i = max(B_i - u_i, 0) that maximizes B_i log(u_i + delta_i) -
+    delta_i, so the program utilities u + delta are at least B."""
     B = instance.budgets
     if instance.mode == QUASILINEAR:
-        delta = np.maximum(B - w, 0.0)
-        return float(np.dot(B, np.log(w + delta)) - delta.sum())
-    if np.any(w <= 0):
-        return -np.inf
-    return float(np.dot(B, np.log(w)))
+        delta = np.maximum(B - u, 0.0)
+        u = u + delta
+        return float(np.dot(B, np.log(u)) - delta.sum()), u, delta
+    if np.any(u <= 0):
+        return -np.inf, u, None
+    return float(np.dot(B, np.log(u))), u, None
 
 
 def _split_winning_ties(instance, beta, useg):
@@ -283,37 +286,16 @@ def pure_allocation(instance: MarketInstance, useg):
     return PureAllocation(intervals=intervals, leftover=leftover), out
 
 
-def quasilinear_postprocess(instance: MarketInstance, beta, u_alloc):
-    """Quasilinear slack variables and net utilities at a solution.
-
-    Buyers at beta_i = 1 may leave budget unspent: delta_i tops the program
-    utility up to B_i.  For beta_i < 1 complementarity forces delta_i = 0 and
-    the program utility equals the allocation value.  The reported quasilinear
-    (value-minus-payment) utility is (1 - beta_i) * u_i.
-    """
-    B = instance.budgets
-    at_top = beta >= 1.0 - _BOUNDARY_SNAP
-    delta = np.where(at_top, np.maximum(B - u_alloc, 0.0), 0.0)
-    ueg = u_alloc + delta
-    net = (1.0 - beta) * ueg
-    return delta, ueg, net
-
-
 def duality_gap(instance: MarketInstance, beta, psi, u):
     """Certified gap psi(beta) - (primal + C) of an allocation worth u.
 
-    Returns (gap, program utilities, delta, net utilities).  In quasilinear
-    mode the utilities are first topped up by ``quasilinear_postprocess``;
-    delta and the net utilities are None in linear mode.  A zero utility
-    makes the primal -inf and the gap inf.
+    Returns (gap, program utilities, delta, net utilities), the middle two
+    from ``_primal``; the quasilinear net (value-minus-payment) utility is
+    (1 - beta) * (u + delta), None in linear mode.  The gap is inf when a
+    linear buyer wins nothing, and finite at any beta in quasilinear mode.
     """
-    delta = net = None
-    if instance.mode == QUASILINEAR:
-        delta, u, net = quasilinear_postprocess(instance, beta, u)
-        with np.errstate(divide="ignore"):
-            primal = float(np.dot(instance.budgets, np.log(u)) - delta.sum())
-    else:
-        primal = _primal_value(instance, u)
+    primal, u, delta = _primal(instance, u)
+    net = None if delta is None else (1.0 - beta) * u
     return psi - (primal + duality_constant(instance)), u, delta, net
 
 
@@ -332,7 +314,10 @@ def allocation_from_beta(instance: MarketInstance, beta) -> EquilibriumResult:
     """The winning sets at given utility prices (e.g. a stochastic average)
     as a pure allocation, with its gap certificate; no further optimization
     happens."""
-    beta = np.clip(np.asarray(beta, dtype=float), *beta_bounds(instance))
+    beta = np.asarray(beta, dtype=float)
+    if beta.shape != (instance.n,):
+        raise DomainError("beta must be finite and positive, one entry per buyer")
+    beta = np.clip(beta, *beta_bounds(instance))
     psi, _, useg, env = dual_subgradient(instance, beta)
     return _result(instance, beta, psi, _split_winning_ties(instance, beta, useg),
                    env, iterations=1)
@@ -470,8 +455,7 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
         evals += 1
         useg = _split_winning_ties(instance, b, useg)
         g = useg.sum(axis=1) - instance.budgets / b
-        primal = _primal_value(instance, useg.sum(axis=1))
-        best_bound = max(best_bound, primal + C)
+        best_bound = max(best_bound, _primal(instance, useg.sum(axis=1))[0] + C)
         gap = psi - best_bound
         gn = float(np.abs(np.where(_held(b, g, lo, hi), 0.0, g)).max())
         if (best is None or gap < best_gap - 1e-15

@@ -99,6 +99,14 @@ def sda_run(instance: MarketInstance, iters: int, seed: int,
         raise ValidationError(f"iters must be an integer >= 1, got {iters!r}")
     iters = int(iters)
     n = instance.n
+    ref = None
+    if beta_ref is not None:
+        try:
+            ref = np.asarray(beta_ref, dtype=float)
+        except (TypeError, ValueError):
+            ref = np.empty(0)
+        if ref.shape != (n,) or not np.all(np.isfinite(ref)):
+            raise ValidationError(f"beta_ref must hold {n} finite numbers")
     lower, upper = beta_bounds(instance)
     ct, dt = instance.c.T, instance.d.T
     rng = np.random.default_rng(seed)
@@ -115,7 +123,6 @@ def sda_run(instance: MarketInstance, iters: int, seed: int,
     rows = list(betas)
     out_beta = np.zeros((checkpoints.size, n))
     out_avg = np.zeros((checkpoints.size, n))
-    ref = None if beta_ref is None else np.asarray(beta_ref, dtype=float)
     sq = np.zeros(checkpoints.size) if ref is not None else None
     t = 0
     for r, stop in enumerate(checkpoints):
@@ -154,7 +161,6 @@ def mse_curve(instance: MarketInstance, iters: int, seeds, beta_ref):
     ||beta_avg - beta_ref||^2 over the seeds, the theoretical envelope at the
     same checkpoints, and the final per-run errors.
     """
-    ref = np.asarray(beta_ref, dtype=float)
     seeds = list(seeds)
     if not seeds:
         raise ValidationError("mse_curve needs at least one seed")
@@ -162,7 +168,7 @@ def mse_curve(instance: MarketInstance, iters: int, seeds, beta_ref):
     finals = []
     checkpoints = None
     for seed in seeds:
-        trace = sda_run(instance, iters, seed, beta_ref=ref)
+        trace = sda_run(instance, iters, seed, beta_ref=beta_ref)
         if total is None:
             checkpoints = trace.checkpoints
             total = np.zeros_like(trace.sq_err)

@@ -80,6 +80,20 @@ def test_solve_mode_sda_and_exit_codes(tmp_path, ex5_file):
     assert len(doc["beta"]) == 4
 
 
+def test_solve_mode_sda_quasilinear_gap_finite(tmp_path):
+    # 2000 samples leave some of the 40 buyers winning nothing at the
+    # average; in quasilinear mode each keeps its budget, so the gap is finite
+    inst_path = str(tmp_path / "ql.json")
+    out = str(tmp_path / "sda.json")
+    assert main(["sample-instance", "--n", "40", "--k", "1", "--seed", "7",
+                 "--mode", "quasilinear", "--out", inst_path]) == 0
+    assert main(["solve", "--instance", inst_path, "--mode", "sda",
+                 "--iters", "2000", "--seed", "1", "--out", out]) == 2
+    doc = json.loads(open(out).read())
+    assert min(map(sum, doc["u_segments"])) == 0.0
+    assert np.isfinite(doc["gap"]) and doc["gap"] >= 0.0
+
+
 def test_ellipsoid_command_cross_checks_dual(tmp_path):
     inst_path = tmp_path / "i32.json"
     assert main(["sample-instance", "--n", "3", "--k", "2", "--seed", "11",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fisher_fair import (
+    DomainError,
     EquilibriumResult,
     NotConverged,
     SolveConfig,
@@ -19,7 +20,7 @@ from fisher_fair.dual_solver import (
     _smoothing_cells,
     allocation_from_beta,
     duality_constant,
-    quasilinear_postprocess,
+    duality_gap,
 )
 from fisher_fair.envelope import beta_bounds
 from fisher_fair.sampling import sample_instance
@@ -189,8 +190,8 @@ def test_quasilinear_postprocess_complementarity(random_instance):
         inst = random_instance(4, 3, seed=seed, mode="quasilinear")
         res = solve(inst)
         assert np.abs(res.delta * (1.0 - res.beta)).max() <= 1e-9
-        delta, ueg, net = quasilinear_postprocess(inst, res.beta,
-                                                  res.useg.sum(axis=1))
+        _, ueg, delta, net = duality_gap(inst, res.beta, 0.0,
+                                         res.useg.sum(axis=1))
         assert np.allclose(ueg, res.u, atol=1e-12)
         assert np.allclose(net, (1.0 - res.beta) * res.u, atol=1e-12)
 
@@ -202,16 +203,65 @@ def test_gap_matches_direct_recomputation(example6):
     assert res.gap == pytest.approx(direct, abs=1e-12)
 
 
-def test_quasilinear_zero_utility_fails_without_warning():
-    # a buyer left with zero utility makes the primal log(0); the certificate
-    # must come out as an infinite gap, not a RuntimeWarning.  At the box
-    # centre of this instance some buyers win nothing
+def _direct_quasilinear_gap(inst, res):
+    """psi at the result's beta minus the quasilinear primal of its
+    allocation, every buyer keeping the money max(B - u, 0)."""
+    B = inst.budgets
+    u = res.useg.sum(axis=1)
+    primal = np.dot(B, np.log(np.maximum(u, B))) - np.maximum(B - u, 0.0).sum()
+    return dual_objective(inst, res.beta) - (primal + duality_constant(inst))
+
+
+def test_quasilinear_gap_finite_where_buyers_win_nothing():
+    # at the box centre of this instance some buyers win nothing; each keeps
+    # its whole budget, so the primal is finite and log(0) never happens
     inst = sample_instance(80, 5, 1010, mode="quasilinear")
     lo, hi = beta_bounds(inst)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         res = allocation_from_beta(inst, 0.5 * (lo + hi))
-    assert res.gap == np.inf
+    assert res.useg.sum(axis=1).min() == 0.0
+    assert np.isfinite(res.gap) and res.gap >= 0.0
+    assert res.gap == pytest.approx(_direct_quasilinear_gap(inst, res), abs=1e-12)
+
+
+QUASILINEAR_SHAPES = [(5, 3, 71), (12, 4, 72), (20, 2, 73),
+                      (40, 1, 74), (80, 5, 75), (300, 5, 76)]
+
+
+@pytest.mark.parametrize("n,k,seed", QUASILINEAR_SHAPES,
+                         ids=[f"{n}x{k}" for n, k, _ in QUASILINEAR_SHAPES])
+def test_quasilinear_weak_duality_at_any_beta(n, k, seed):
+    # every buyer keeps max(B - u, 0), so the primal is finite at any beta
+    # in the box and, by weak duality, never above psi
+    inst = sample_instance(n, k, seed, mode="quasilinear")
+    lo, hi = beta_bounds(inst)
+    rng = np.random.default_rng(seed)
+    betas = [lo, hi] + [lo + rng.uniform(size=n) * (hi - lo) for _ in range(5)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for beta in betas:
+            res = allocation_from_beta(inst, beta)
+            assert np.isfinite(res.gap) and res.gap >= -1e-12
+            check_equilibrium(inst, res.allocation, res.beta, delta=res.delta)
+
+
+def test_quasilinear_early_stop_reports_the_one_primal():
+    # after 4 evaluations the best iterate is not an equilibrium; its gap
+    # lets every buyer keep max(B - u, 0), as the loop's bound does (a rule
+    # that let only buyers at the price cap keep money reported 1.131e-2)
+    inst = sample_instance(20, 5, 2, mode="quasilinear")
+    with pytest.raises(NotConverged) as exc:
+        solve(inst, SolveConfig(max_iter=4))
+    res = exc.value.result
+    assert res.gap == pytest.approx(_direct_quasilinear_gap(inst, res), abs=1e-12)
+    assert res.gap == pytest.approx(9.345e-3, rel=1e-3)
+
+
+@pytest.mark.parametrize("beta", [0.5, [0.5] * 3], ids=["scalar", "short"])
+def test_allocation_from_beta_needs_one_entry_per_buyer(example5, beta):
+    with pytest.raises(DomainError, match="one entry per buyer"):
+        allocation_from_beta(example5, beta)
 
 
 def test_allocation_from_beta_returns_winning_sets():

@@ -104,6 +104,16 @@ def test_numpy_integer_iters(example5):
     assert np.array_equal(a.beta_avg, b.beta_avg)
 
 
+@pytest.mark.parametrize("ref", [[0.5], [0.5] * 3, [float("nan")] * 4,
+                                 [0.5, 0.5, np.inf, 0.5], "x"],
+                         ids=["one", "short", "nan", "inf", "string"])
+def test_bad_beta_ref_raises_validation_error(example5, ref):
+    with pytest.raises(ValidationError, match="beta_ref"):
+        sda_run(example5, 64, 0, beta_ref=ref)
+    with pytest.raises(ValidationError, match="beta_ref"):
+        mse_curve(example5, 64, seeds=[0], beta_ref=ref)
+
+
 def test_subgradient_bound_example5(example5):
     assert subgradient_bound(example5) == pytest.approx(1.9)
 
