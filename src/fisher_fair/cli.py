@@ -111,7 +111,7 @@ def _cmd_solve(args):
         result = allocation_from_beta(instance, trace.beta_avg[-1])
         result.iterations = args.iters
         if args.out:
-            result.save(args.out)
+            _write_json(result.to_json(), args.out)
         print(f"sda average after {args.iters} samples, gap {result.gap:.3e}")
         return 0 if result.gap <= args.gap_tol else 2
     try:
@@ -121,7 +121,7 @@ def _cmd_solve(args):
         result = exc.result
         code = 2
     if args.out:
-        result.save(args.out)
+        _write_json(result.to_json(), args.out)
     print(f"gap {result.gap:.3e} after {result.iterations} evaluations")
     return code
 

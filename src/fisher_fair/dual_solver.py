@@ -50,7 +50,6 @@ equal.  The ellipsoid solver builds its allocation with the same routine.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,11 +156,6 @@ class EquilibriumResult:
             ql_net_utilities=(None if doc.get("ql_net_utilities") is None
                               else np.asarray(doc["ql_net_utilities"], dtype=float)))
 
-    def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh, indent=1)
-            fh.write("\n")
-
 
 def duality_constant(instance: MarketInstance) -> float:
     """C = ||B||_1 - sum_i B_i log B_i, the shift aligning primal and dual."""
@@ -266,23 +260,25 @@ def pure_allocation(instance: MarketInstance, useg):
     """Pure allocation attaining exactly feasible (n, K) per-segment utilities.
 
     One greedy partition per segment, in strict mode, so infeasible input
-    raises InfeasibleUtilities; the last buyer with a positive target takes
-    the segment's remainder.  Parts of zero length are dropped, and a segment
-    no buyer takes goes to ``leftover``.  Returns the allocation and the
-    (n, K) utilities of its intervals.
+    raises InfeasibleUtilities; only buyers with a positive target get a
+    part, and the last of them takes the segment's remainder.  Parts of zero
+    length are dropped, and a segment no buyer takes goes to ``leftover``.
+    Returns the allocation and the (n, K) utilities of its intervals.
     """
     intervals = [[] for _ in range(instance.n)]
     leftover = []
     out = np.zeros_like(useg)
     for k in range(instance.num_segments):
         parts = partition_segment(instance, k, useg[:, k])
-        if all(part.length <= 0.0 for part in parts):
+        taken = [i for i in np.flatnonzero(useg[:, k] > 0.0).tolist()
+                 if parts[i].length > 0.0]
+        if not taken:
             leftover.append(instance.grid.segment(k))
-        for i, part in enumerate(parts):
-            if part.length > 0.0:
-                intervals[i].append(part)
-                mid = 0.5 * (part.lo + part.hi)
-                out[i, k] = part.length * (instance.c[i, k] * mid + instance.d[i, k])
+        for i in taken:
+            part = parts[i]
+            intervals[i].append(part)
+            mid = 0.5 * (part.lo + part.hi)
+            out[i, k] = part.length * (instance.c[i, k] * mid + instance.d[i, k])
     return PureAllocation(intervals=intervals, leftover=leftover), out
 
 

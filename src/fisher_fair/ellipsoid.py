@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import upper_envelope, winning_utility_matrix
+from .envelope import beta_bounds, dual_subgradient, winning_utility_matrix
 from .errors import NumericalBreakdown, ValidationError
 # cut and partition_segment are unused here; perfbench/spans.py patches the
 # names ellipsoid.cut and ellipsoid.partition_segment
@@ -310,6 +310,7 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     if instance.mode != "linear":
         raise ValidationError("the ellipsoid solver handles linear mode only")
     B = instance.budgets
+    bounds = beta_bounds(instance)
     kappa = 1.0 / float(B.min())
     K = instance.num_segments
     eps_internal = eps / (_EPS_MARGIN * (2.0 * kappa + K + 1.0))
@@ -408,14 +409,13 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     # winning sliver can vanish from its envelope and must be kept.
     u_rough = useg.sum(axis=1)
     if np.all(u_rough > 0):
-        beta_rough = np.clip(B / u_rough, B, 1.0)
+        beta_rough = np.clip(B / u_rough, *bounds)
         wmat = winning_utility_matrix(instance, beta_rough)
         useg[(wmat <= 1e-12) & (useg <= _SLOP * eps_internal)] = 0.0
     allocation, useg = pure_allocation(instance, useg)
     u = useg.sum(axis=1)
-    beta = np.clip(B / np.maximum(u, 1e-300), B, 1.0)
-    env = upper_envelope(instance, beta)
-    psi = env.integral() - float(np.dot(B, np.log(beta)))
+    beta = np.clip(B / np.maximum(u, 1e-300), *bounds)
+    psi, _, _, env = dual_subgradient(instance, beta)
     gap = duality_gap(instance, beta, psi, u)[0]
     certified = certified and gap <= eps
     return EllipsoidResult(

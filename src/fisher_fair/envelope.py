@@ -57,18 +57,12 @@ class PiecewiseLinearFunction:
         j = self.locate(theta)
         return self.cs[j] * theta + self.ds[j]
 
-    def integral(self, lo: float = None, hi: float = None) -> float:
-        """Exact integral over [lo, hi] (defaults to the whole support)."""
-        b = self.breakpoints
-        lo = b[0] if lo is None else lo
-        hi = b[-1] if hi is None else hi
-        if hi <= lo:
-            return 0.0
-        left = np.maximum(b[:-1], lo)
-        right = np.minimum(b[1:], hi)
-        length = np.maximum(right - left, 0.0)
+    def integral(self) -> float:
+        """Exact integral over the whole support, piece by piece as length
+        times the density at the midpoint."""
+        left, right = self.breakpoints[:-1], self.breakpoints[1:]
         mid = 0.5 * (left + right)
-        return float(np.sum(length * (self.cs * mid + self.ds)))
+        return float(np.sum((right - left) * (self.cs * mid + self.ds)))
 
 
 def beta_bounds(instance: MarketInstance):
@@ -192,9 +186,7 @@ def winning_utilities(instance: MarketInstance, beta) -> np.ndarray:
 
 def dual_objective(instance: MarketInstance, beta) -> float:
     """psi(beta) = integral of the envelope minus sum_i B_i log beta_i."""
-    beta = np.asarray(beta, dtype=float)
-    env = upper_envelope(instance, beta)
-    return env.integral() - float(np.dot(instance.budgets, np.log(beta)))
+    return dual_subgradient(instance, beta)[0]
 
 
 def dual_subgradient(instance: MarketInstance, beta):

@@ -12,8 +12,8 @@ constraint per adjacent buyer pair.  This module implements:
   the ellipsoid's clipping and starting point all run it,
 * ``membership`` - an exact greedy oracle (no target truncated by the cuts),
 * ``partition_interval`` - recovery of an actual partition attaining exactly
-  feasible utilities, in O(n log n), through the same transform; the last
-  buyer with a positive target takes the remainder,
+  feasible utilities, in O(n log n), through the same transform; only buyers
+  with a positive target are cut, and the last of them takes the remainder,
 * ``emit_conic_program`` - the full equality-form conic program (nonnegative,
   second-order and exponential cones) whose solution carries the equilibrium
   per-segment utilities, plus the ingest path back from a solution vector.
@@ -21,8 +21,7 @@ constraint per adjacent buyer pair.  This module implements:
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,8 +45,6 @@ class NormalizedSegment:
     """
 
     index: int
-    lo: float
-    hi: float
     lam: np.ndarray
     c_hat: np.ndarray
     d_hat: np.ndarray
@@ -92,8 +89,8 @@ def normalize_segment(instance: MarketInstance, k: int) -> NormalizedSegment:
         raise ValidationError(f"segment {k} is degenerate")
     lam, c_hat, d_hat, active, order = _rescale_and_sort(
         instance.c[:, k], instance.d[:, k], iv.lo, iv.hi)
-    return NormalizedSegment(index=k, lo=iv.lo, hi=iv.hi, lam=lam, c_hat=c_hat,
-                             d_hat=d_hat, active=active, order=order)
+    return NormalizedSegment(index=k, lam=lam, c_hat=c_hat, d_hat=d_hat,
+                             active=active, order=order)
 
 
 def greedy_cuts(cs, ds, order, targets, lo: float, hi: float,
@@ -155,11 +152,12 @@ def membership(segment: NormalizedSegment, u) -> bool:
 def partition_interval(cs, ds, lo: float, hi: float, u):
     """Partition [lo, hi] into one interval per buyer attaining utilities u.
 
-    Buyers are cut greedily in descending order of transformed intercept,
-    each receiving an interval worth exactly its u (up to the cut
-    tolerance).  The last buyer in that order with a positive u takes the
-    remainder up to ``hi``; buyers with zero u and inactive buyers (zero
-    value on the interval) receive empty intervals.  An infeasible u raises
+    The buyers with a positive u are cut greedily in descending order of
+    transformed intercept, each receiving an interval worth exactly its u
+    (up to the cut tolerance), and the last of them takes the remainder up
+    to ``hi``.  A zero u never moves a cut, so buyers with zero u, like
+    inactive buyers (zero value on the interval), receive the empty
+    interval ``Interval(hi, hi)``.  An infeasible u raises
     InfeasibleUtilities.
     """
     cs = np.asarray(cs, dtype=float)
@@ -174,14 +172,13 @@ def partition_interval(cs, ds, lo: float, hi: float, u):
         raise InfeasibleUtilities(
             f"buyer {int(bad[0])} has zero value on the interval but u > 0")
     out = [Interval(hi, hi)] * n
+    order = order[u[order] > 0.0]
     points, _, truncated = greedy_cuts(cs, ds, order, u[order], lo, hi)
     if truncated.any():
         raise InfeasibleUtilities(
             f"greedy cut for buyer {int(order[truncated.argmax()])} overruns "
             "the interval")
-    taking = np.flatnonzero(u[order] > 0.0)
-    if taking.size:
-        points[taking[-1]:] = hi
+    points[-1:] = hi
     starts = [lo] + points[:-1].tolist()
     for i, a, b in zip(order.tolist(), starts, points.tolist()):
         out[i] = Interval(a, b)
@@ -213,7 +210,7 @@ class ConicProgram:
     rows: list
     cones: list
     var_names: list
-    meta: dict = field(default_factory=dict)
+    meta: dict                    # {"n": buyers, "K": grid segments}
 
     @property
     def num_vars(self) -> int:
@@ -271,21 +268,19 @@ class ConicProgram:
             "cones": [{"type": c["type"], "vars": list(map(int, c["vars"]))}
                       for c in self.cones],
             "var_names": list(self.var_names),
+            "meta": dict(self.meta),
         }
 
     @classmethod
     def from_json(cls, doc) -> "ConicProgram":
+        if "meta" not in doc:
+            raise ValidationError("conic program document lacks meta")
         rows = [(tuple(r["cols"]), tuple(r["vals"]), float(r["rhs"]))
                 for r in doc["rows"]]
         return cls(objective=np.asarray(doc["objective"], dtype=float), rows=rows,
                    cones=[{"type": c["type"], "vars": list(c["vars"])}
                           for c in doc["cones"]],
-                   var_names=list(doc["var_names"]))
-
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.to_json(), fh)
-            fh.write("\n")
+                   var_names=list(doc["var_names"]), meta=dict(doc["meta"]))
 
 
 class ConicBuilder:
@@ -344,11 +339,9 @@ def build_conic_representation(segment: NormalizedSegment, builder=None):
         bld.leq([uhat_vars[m - 1], wneg[m - 2]], [1.0, 1.0], 1.0,
                 f"slchain[{k}][{m - 1}]")
     for j in range(m - 1):
-        a, b = segment.order[j], segment.order[j + 1]
-        bld.row([s_var[j], t_var[j], z[j]],
-                [segment.d_hat[a], 0.5 * segment.c_hat[a], -1.0], 0.0)
-        bld.row([s_var[j], t_var[j], wneg[j]],
-                [-segment.d_hat[b], -0.5 * segment.c_hat[b], 1.0], 0.0)
+        (za, zb), (wa, wb) = segment.G(j)
+        bld.row([s_var[j], t_var[j], z[j]], [za, zb, -1.0], 0.0)
+        bld.row([s_var[j], t_var[j], wneg[j]], [wa, wb, 1.0], 0.0)
         p1 = bld.var(f"socp[{k}][{j}]")
         p2 = bld.var(f"socm[{k}][{j}]")
         bld.row([p1, t_var[j]], [1.0, -0.5], 0.5)
@@ -405,27 +398,20 @@ def emit_conic_program(instance: MarketInstance) -> ConicProgram:
 
 
 def conic_solution_utilities(program: ConicProgram, x):
-    """Map a solution vector of an emitted program back to (u_i, u_ik)."""
+    """Map a solution vector of an emitted program back to (u_i, u_ik), of
+    the shapes (n,) and (n, K) that ``meta`` records (0 where no variable)."""
     x = np.asarray(x, dtype=float)
     if x.size != program.num_vars:
         raise ValidationError(
             f"solution vector has {x.size} entries, program has {program.num_vars}")
-    pairs = {}
-    singles = {}
+    u = np.zeros(program.meta["n"])
+    u_ik = np.zeros((program.meta["n"], program.meta["K"]))
     for idx, name in enumerate(program.var_names):
         if name.startswith("useg["):
             i, k = (int(part) for part in name[5:-1].split("]["))
-            pairs[(i, k)] = x[idx]
-        elif name.startswith("u[") and name.endswith("]"):
-            singles[int(name[2:-1])] = x[idx]
-    n = program.meta.get("n", 1 + max(singles, default=0))
-    K = program.meta.get("K", 1 + max((k for _, k in pairs), default=0))
-    u = np.zeros(n)
-    u_ik = np.zeros((n, K))
-    for i, val in singles.items():
-        u[i] = val
-    for (i, k), val in pairs.items():
-        u_ik[i, k] = val
+            u_ik[i, k] = x[idx]
+        elif name.startswith("u["):
+            u[int(name[2:-1])] = x[idx]
     return u, u_ik
 
 

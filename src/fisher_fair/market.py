@@ -71,24 +71,24 @@ def eval_interval(piece: LinearPiece, iv: Interval) -> float:
     return length * (piece.c * mid + piece.d)
 
 
-def cut(piece: LinearPiece, a: float, u0: float, segment_end: float,
-        tol: float = NONNEG_TOL) -> float:
+def cut(piece: LinearPiece, a: float, u0: float, segment_end: float) -> float:
     """Rightmost point b in [a, segment_end] with eval(piece, [a, b]) = u0.
 
     Solves (c/2)(b^2 - a^2) + d(b - a) = u0 for b.  With va = v(a), the root in
     range is b = a + 2*u0 / (va + sqrt(va^2 + 2*c*u0)), which stays stable as
     c -> 0 and is homogeneous in (c, d, u0), so tiny densities cut as
-    accurately as large ones.  Raises UnreachableUtility when u0 exceeds the
-    remaining value of the segment beyond ``tol`` and DegeneratePiece when
-    the density is identically 0 but u0 > 0.
+    accurately as large ones.  The tolerance is NONNEG_TOL: u0 may be that
+    far below zero (it is cut as zero), and a u0 that exceeds the remaining
+    value of the segment by more raises UnreachableUtility.  DegeneratePiece
+    is raised when the density is identically 0 but u0 > 0.
     """
-    if u0 < -tol:
+    if u0 < -NONNEG_TOL:
         raise ValidationError(f"cut utility must be nonnegative, got {u0}")
     u0 = max(u0, 0.0)
     if u0 == 0.0:
         return a
     remaining = eval_interval(piece, Interval(a, segment_end))
-    if u0 > remaining + tol:
+    if u0 > remaining + NONNEG_TOL:
         raise UnreachableUtility(
             f"requested utility {u0} exceeds remaining {remaining} on "
             f"[{a}, {segment_end}]")
@@ -131,7 +131,6 @@ class BreakpointGrid:
         pts = pts.copy()
         pts[0], pts[-1] = 0.0, 1.0
         keep = np.concatenate([[True], np.diff(pts) > GRID_EPS])
-        keep[0] = True
         pts = pts[keep]
         if pts.size < 2:
             raise ValidationError("grid collapsed to a point after dedup")
@@ -205,10 +204,6 @@ class MarketInstance:
                 mid = 0.5 * (lo + hi)
                 total += (hi - lo) * (self.c[:, k] * mid + self.d[:, k])
         return total
-
-    def buyer_value(self, i: int, iv: Interval) -> float:
-        """Exact utility of buyer i over an interval (may span several segments)."""
-        return float(self.interval_values(iv)[i])
 
     def to_document(self) -> dict:
         """Shared-grid JSON document (already-normalized coefficients)."""

@@ -89,7 +89,7 @@ class FairnessReport:
         }
 
 
-def _validate_allocation(instance, allocation):
+def _validate_allocation(allocation):
     spans = []
     for i, ivs in enumerate(allocation.intervals):
         for iv in ivs:
@@ -107,7 +107,7 @@ def _validate_allocation(instance, allocation):
                 f"allocation intervals overlap: [{l1}, {h1}] and [{l2}, {h2}]")
 
 
-def _inner_product(env, instance, i, iv, scaled_beta=None):
+def _inner_product(env, instance, i, iv, scaled_beta):
     """(<p, 1_iv>, <v_i, 1_iv>, sup over iv of p - beta_i v_i)."""
     b = env.breakpoints
     j0 = int(env.locate(iv.lo))
@@ -126,10 +126,9 @@ def _inner_product(env, instance, i, iv, scaled_beta=None):
         p_mass += length * (env.cs[j] * mid + env.ds[j])
         vi_c, vi_d = instance.c[i, k], instance.d[i, k]
         v_mass += length * (vi_c * mid + vi_d)
-        if scaled_beta is not None:
-            for x in (lo, hi):
-                gap = (env.cs[j] * x + env.ds[j]) - scaled_beta * (vi_c * x + vi_d)
-                sup = max(sup, gap)
+        for x in (lo, hi):
+            gap = (env.cs[j] * x + env.ds[j]) - scaled_beta * (vi_c * x + vi_d)
+            sup = max(sup, gap)
     return p_mass, v_mass, sup
 
 
@@ -153,7 +152,7 @@ def check_equilibrium(instance: MarketInstance, allocation: PureAllocation,
         delta = np.zeros(n)
     else:
         delta = np.asarray(delta, dtype=float)
-    _validate_allocation(instance, allocation)
+    _validate_allocation(allocation)
     env = upper_envelope(instance, beta)
     p_total = env.integral()
     budget = np.zeros(n)
@@ -166,8 +165,7 @@ def check_equilibrium(instance: MarketInstance, allocation: PureAllocation,
         for iv in allocation.intervals[i]:
             if iv.length <= 0:
                 continue
-            p_mass, v_mass, sup = _inner_product(env, instance, i, iv,
-                                                 scaled_beta=beta[i])
+            p_mass, v_mass, sup = _inner_product(env, instance, i, iv, beta[i])
             spend += p_mass
             u[i] += v_mass
             comp[i] = max(comp[i], sup)
@@ -179,16 +177,12 @@ def check_equilibrium(instance: MarketInstance, allocation: PureAllocation,
     price_mass = abs(p_total - mass_target)
     C = duality_constant(instance)
     dual = p_total - float(np.dot(B, np.log(beta)))
-    if instance.mode == QUASILINEAR:
-        ueg = u + delta
-        with np.errstate(divide="ignore"):
-            primal = (float(np.dot(B, np.log(ueg)) - delta.sum())
-                      if np.all(ueg > 0) else -np.inf)
-        ql_res = np.abs(delta * (1.0 - beta))
-    else:
-        with np.errstate(divide="ignore"):
-            primal = float(np.dot(B, np.log(u))) if np.all(u > 0) else -np.inf
-        ql_res = np.zeros(n)
+    # in linear mode delta is zero, so both terms it enters add exact zeros
+    ueg = u + delta
+    with np.errstate(divide="ignore"):
+        primal = (float(np.dot(B, np.log(ueg)) - delta.sum())
+                  if np.all(ueg > 0) else -np.inf)
+    ql_res = np.abs(delta * (1.0 - beta))
     gap = dual - (primal + C)
     return KktReport(market_clear_residual=float(market_clear),
                      budget_residuals=budget,
@@ -205,7 +199,7 @@ def fairness(instance: MarketInstance, allocation: PureAllocation,
     """Budget-weighted envy matrix and proportionality slacks, computed with
     exact interval integrals.  The Pareto certificate is the duality gap at
     the allocation-implied utility prices B_i / u_i."""
-    _validate_allocation(instance, allocation)
+    _validate_allocation(allocation)
     n = instance.n
     B = instance.budgets
     vals = np.zeros((n, n))  # vals[i, j] = <v_i, x_j>

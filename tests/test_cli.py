@@ -154,7 +154,7 @@ def test_emit_conic_and_oracle(tmp_path):
     assert main(["emit-conic", "--instance", str(inst_path),
                  "--out", str(conic)]) == 0
     doc = json.loads(conic.read_text())
-    assert set(doc) == {"objective", "rows", "cones", "var_names"}
+    assert set(doc) == {"objective", "rows", "cones", "var_names", "meta"}
     orc = tmp_path / "orc.json"
     assert main(["oracle", "--instance", str(inst_path), "--cells", "300",
                  "--out", str(orc)]) == 0

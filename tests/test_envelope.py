@@ -244,6 +244,9 @@ def test_batched_envelope_properties(case):
     assert certify_envelope(inst, beta, env)
     U = winning_utility_matrix(inst, beta)
     assert np.array_equal(U.sum(axis=1), winning_utilities(inst, beta))
-    pts = inst.grid.points
-    per_segment = [env.integral(pts[k], pts[k + 1]) for k in range(inst.num_segments)]
+    # price mass per segment, exactly from the pieces (each lies in one segment)
+    b = env.breakpoints
+    mid = 0.5 * (b[:-1] + b[1:])
+    mass = (b[1:] - b[:-1]) * (env.cs * mid + env.ds)
+    per_segment = np.bincount(env.segments, weights=mass, minlength=inst.num_segments)
     np.testing.assert_allclose(beta @ U, per_segment, rtol=1e-12, atol=1e-15)

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from fisher_fair import (
     InfeasibleUtilities,
+    ValidationError,
     build_instance,
     conic_solution_utilities,
     emit_conic_program,
@@ -143,6 +144,42 @@ def test_partition_rejects_overrun_of_sorted_last_buyer():
         partition_interval([0.0, 0.0], [1.0, 1.0], 0.0, 1.0, [0.9, 0.5])
 
 
+def test_partition_zero_targets_leave_takers_cuts_alone():
+    # buyers with a zero target change no taker's interval and get
+    # Interval(hi, hi), also where the stable sort puts them between two
+    # takers or after the last one
+    rng = np.random.default_rng(31)
+    between = after = 0
+    for trial in range(40):
+        m = int(rng.integers(2, 6))
+        lo = float(rng.uniform(0.0, 0.5))
+        hi = lo + float(rng.uniform(0.1, 0.5))
+        y = rng.uniform(0.1, 2.0, (m, 2))
+        cs = (y[:, 1] - y[:, 0]) / (hi - lo)
+        ds = y[:, 0] - cs * lo
+        edges = np.concatenate([[lo], np.sort(rng.uniform(lo, hi, m - 1)), [hi]])
+        u = np.zeros(m)
+        for j, i in enumerate(rng.permutation(m)):
+            u[i] = eval_interval(LinearPiece(cs[i], ds[i]),
+                                 Interval(edges[j], edges[j + 1]))
+        # four zero-target buyers: copies of the first and the last taker in
+        # sorted order, and two random densities
+        order = _rescale_and_sort(cs, ds, lo, hi)[4]
+        y_all = np.concatenate([y, y[order[[0, -1]]], rng.uniform(0.1, 2.0, (2, 2))])
+        cs_all = (y_all[:, 1] - y_all[:, 0]) / (hi - lo)
+        ds_all = y_all[:, 0] - cs_all * lo
+        u_all = np.concatenate([u, np.zeros(4)])
+        full = _rescale_and_sort(cs_all, ds_all, lo, hi)[4]
+        taker_pos = np.flatnonzero(full < m)
+        zero_pos = np.flatnonzero(full >= m)
+        between += int(np.any((zero_pos > taker_pos[0]) & (zero_pos < taker_pos[-1])))
+        after += int(np.any(zero_pos > taker_pos[-1]))
+        parts = partition_interval(cs_all, ds_all, lo, hi, u_all)
+        assert parts[:m] == partition_interval(cs, ds, lo, hi, u)
+        assert parts[m:] == [Interval(hi, hi)] * 4
+    assert between == after == 40
+
+
 def test_partition_cuts_buyer_with_tiny_coefficients():
     # value 2.5e-14 on [0, 0.5] is above feasible.LAMBDA_FLOOR, so the buyer
     # is active; its coefficients are both below 1e-12, and ``cut`` must still
@@ -182,7 +219,7 @@ def test_greedy_cuts_properties(data):
                                  Interval(edges[j], edges[j + 1])), 0.0)
     u *= np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 1.5, 3.0]),
                                      min_size=n, max_size=n)))
-    seg = NormalizedSegment(0, lo, hi, *_rescale_and_sort(cs, ds, lo, hi))
+    seg = NormalizedSegment(0, *_rescale_and_sort(cs, ds, lo, hi))
 
     for coeffs, targets, a, b in (
             ((cs, ds), u[seg.order], lo, hi),
@@ -289,8 +326,8 @@ def segment_from_coeffs(cs, ds, lo, hi):
     c_hat[active] = width * width * cs[active] / lam[active]
     d_hat[active] = width * (cs[active] * lo + ds[active]) / lam[active]
     order = active[np.argsort(-d_hat[active], kind="stable")]
-    return NormalizedSegment(index=0, lo=lo, hi=hi, lam=lam, c_hat=c_hat,
-                             d_hat=d_hat, active=active, order=order)
+    return NormalizedSegment(index=0, lam=lam, c_hat=c_hat, d_hat=d_hat,
+                             active=active, order=order)
 
 
 def membership_test_points(rng, n_max=5):
@@ -459,12 +496,30 @@ def test_emit_conic_counts(example6):
 def test_emit_conic_roundtrip_json(example6, tmp_path):
     program = emit_conic_program(example6)
     path = tmp_path / "prog.json"
-    program.save(path)
     import json
+    path.write_text(json.dumps(program.to_json()))
     loaded = ConicProgram.from_json(json.loads(path.read_text()))
     assert loaded.num_vars == program.num_vars
     assert loaded.num_rows == program.num_rows
     assert [c["type"] for c in loaded.cones] == [c["type"] for c in program.cones]
+
+
+def test_conic_json_keeps_segment_count():
+    # nobody values the last segment, so no variable names it: the decoded
+    # shape must come from the program's meta, also after a JSON round trip
+    import json
+    inst = build_instance([0.5, 0.5], [0, 0.5, 1], [[0, 0], [0, 0]], [[1, 0], [2, 0]])
+    program = emit_conic_program(inst)
+    doc = json.loads(json.dumps(program.to_json()))
+    assert doc["meta"] == {"n": 2, "K": 2}
+    x = np.arange(program.num_vars, dtype=float)
+    u, u_ik = conic_solution_utilities(ConicProgram.from_json(doc), x)
+    want_u, want_u_ik = conic_solution_utilities(program, x)
+    assert u_ik.shape == (2, 2)
+    assert np.array_equal(u, want_u) and np.array_equal(u_ik, want_u_ik)
+    del doc["meta"]
+    with pytest.raises(ValidationError):
+        ConicProgram.from_json(doc)
 
 
 def construct_solution_vector(program, instance, result):

@@ -1,0 +1,188 @@
+"""Record the library's outputs on the benchmark documents, and compare two
+recordings field by field.
+
+    python3 tools/outputs.py record ROOT OUT [--seeds 1111,1112,1113]
+    python3 tools/outputs.py compare A B
+
+``record`` imports ``fisher_fair`` from ``ROOT/src`` and replays the
+documents that ``ROOT/perfbench/workloads.py`` builds for the grid, crowded
+and crosscheck workloads of each seed, warm-up documents included.  For every
+document it records:
+
+* ``solve``: the result (beta, gap, iterations, u, per-segment utilities,
+  delta, quasilinear net utilities, the allocation), ``gap_history``, the
+  price envelope's pieces and any ``NotConverged`` message;
+* ``cli``: the exit code and a SHA-256 of the file ``solve --out`` writes;
+* ``conic``: a SHA-256 of each key of ``emit_conic_program(...).to_json()``
+  except ``meta``;
+
+on crowded documents ``sda``: ``allocation_from_beta`` at the average of an
+SDA run of the benchmark's length and seed; and on crosscheck documents
+``ellipsoid``: ``ellipsoid_solve(inst, 1e-4, collect_log=True)``, log
+included.  Every result carries the ``to_json()`` of ``check_equilibrium``
+and ``fairness`` on its allocation.  Floats are stored by their shortest
+round-trip repr, so two recordings agree field for field exactly when the
+outputs are bit-identical.
+
+``compare`` prints the number of identical records of each kind and names
+every record and field that differs or exists on one side only; it exits 1
+when anything differs.  Run each side from its own checkout with one BLAS
+thread (the script sets ``OPENBLAS_NUM_THREADS=1`` before importing numpy).
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import contextlib  # noqa: E402
+import hashlib  # noqa: E402
+import io  # noqa: E402
+import json  # noqa: E402
+import sys  # noqa: E402
+import tempfile  # noqa: E402
+from collections import Counter  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+WORKLOADS = ("grid", "crowded", "crosscheck")
+
+
+def _sha(value):
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+def _result_fields(res):
+    """Every output of a result, as JSON values."""
+    fields = res.to_json()
+    fields["gap_history"] = res.gap_history
+    env = res.prices
+    for name in ("breakpoints", "cs", "ds", "owners", "segments"):
+        fields[f"prices.{name}"] = getattr(env, name).tolist()
+    return fields
+
+
+def _checked(lib, wl, inst, res):
+    """The result's fields plus its KKT and fairness reports."""
+    fields = _result_fields(res)
+    for name, check in (("kkt", lambda: lib.verification.check_equilibrium(
+                            inst, res.allocation, res.beta, tol=wl.CHECK_TOL,
+                            delta=res.delta)),
+                        ("fairness", lambda: lib.verification.fairness(
+                            inst, res.allocation, tol=wl.CHECK_TOL))):
+        try:
+            fields[name] = check().to_json()
+        except lib.errors.FisherFairError as exc:
+            fields[name] = f"{type(exc).__name__}: {exc}"
+    return fields
+
+
+def _records(lib, wl, workload, seed, tmp):
+    docs = wl.documents(workload, seed)
+    for i, (case, doc) in enumerate(docs):
+        key = f"{workload}/{seed}/{i}/{case.mode}-{case.n}x{case.k}"
+        inst = lib.market.load_instance(doc)
+        try:
+            res, message = lib.dual_solver.solve(inst), None
+        except lib.errors.NotConverged as exc:
+            res, message = exc.result, str(exc)
+        fields = _checked(lib, wl, inst, res)
+        fields["not_converged"] = message
+        yield "solve", key, fields
+
+        path = Path(tmp) / "instance.json"
+        out = Path(tmp) / "result.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = lib.cli.main(["solve", "--instance", str(path), "--out", str(out)])
+        yield "cli", key, {"exit": code,
+                           "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+
+        conic = lib.feasible.emit_conic_program(inst).to_json()
+        conic.pop("meta", None)
+        yield "conic", key, {name: _sha(value) for name, value in conic.items()}
+
+        if case.kind == "crowded":
+            sda_seed = wl.instance_seed(seed, workload, len(docs) + i)
+            trace = lib.sda.sda_run(inst, wl.SDA_SAMPLES, sda_seed)
+            avg = trace.beta_avg[-1]
+            res = lib.dual_solver.allocation_from_beta(inst, avg)
+            yield "sda", key, {"beta_avg": list(map(float, avg)),
+                               **_checked(lib, wl, inst, res)}
+        elif case.kind == "crosscheck":
+            res = lib.ellipsoid.ellipsoid_solve(inst, wl.ELLIPSOID_EPS,
+                                                collect_log=True)
+            fields = _checked(lib, wl, inst, res)
+            fields["log"] = [list(entry) for entry in res.log]
+            yield "ellipsoid", key, fields
+
+
+def record(root, out_path, seeds):
+    root = Path(root).resolve()
+    sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
+    import workloads as wl
+    from fisher_fair import (cli, dual_solver, ellipsoid, errors, feasible, market,
+                             sda, verification)
+    lib = argparse.Namespace(cli=cli, dual_solver=dual_solver, ellipsoid=ellipsoid,
+                             errors=errors, feasible=feasible, market=market, sda=sda,
+                             verification=verification)
+    counts = Counter()
+    with open(out_path, "w", encoding="utf-8") as fh, \
+            tempfile.TemporaryDirectory() as tmp:
+        for seed in seeds:
+            for workload in WORKLOADS:
+                for kind, key, fields in _records(lib, wl, workload, seed, tmp):
+                    fh.write(json.dumps({"kind": kind, "key": key,
+                                         "fields": fields}) + "\n")
+                    counts[kind] += 1
+    print(", ".join(f"{n} {kind}" for kind, n in sorted(counts.items())),
+          f"records written to {out_path}")
+
+
+def _load(path):
+    with open(path, encoding="utf-8") as fh:
+        recs = [json.loads(line) for line in fh]
+    return {(r["kind"], r["key"]): r["fields"] for r in recs}
+
+
+def compare(path_a, path_b):
+    a, b = _load(path_a), _load(path_b)
+    same, differ = Counter(), 0
+    for kind, key in sorted(a.keys() | b.keys()):
+        if (kind, key) not in a or (kind, key) not in b:
+            side = path_b if (kind, key) in b else path_a
+            print(f"{kind} {key}: only in {side}")
+            differ += 1
+            continue
+        fa, fb = a[kind, key], b[kind, key]
+        bad = [name for name in sorted(fa.keys() | fb.keys())
+               if json.dumps(fa.get(name)) != json.dumps(fb.get(name))]
+        if bad:
+            print(f"{kind} {key}: differs in {', '.join(bad)}")
+            differ += 1
+        else:
+            same[kind] += 1
+    print("identical:", ", ".join(f"{n} {kind}" for kind, n in sorted(same.items())))
+    print(f"differing: {differ}")
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    p = sub.add_parser("record", help="record outputs of the library under ROOT")
+    p.add_argument("root")
+    p.add_argument("out")
+    p.add_argument("--seeds", default="1111,1112,1113")
+    p = sub.add_parser("compare", help="compare two recordings")
+    p.add_argument("a")
+    p.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "record":
+        record(args.root, args.out, [int(s) for s in args.seeds.split(",")])
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
