@@ -194,11 +194,16 @@ def _split_winning_ties(instance, beta, useg):
     """
     M = beta[:, None] * instance.c
     Q = beta[:, None] * instance.d
+    # every group has slope-adjacent lines this close: the lexsort below
+    # sorts the slopes the same way, so without such a pair nothing ties
+    ms = np.sort(M, axis=0)
+    near = np.abs(np.diff(ms, axis=0)) <= _TIE_TOL * (1.0 + np.abs(ms[:-1]))
+    if not near.any():
+        return useg
     order = np.lexsort((Q, M), axis=0)
     at = np.arange(instance.num_segments)
-    ms, qs = M[order, at], Q[order, at]
-    close = (np.abs(np.diff(ms, axis=0)) <= _TIE_TOL * (1.0 + np.abs(ms[:-1]))) & (
-        np.abs(np.diff(qs, axis=0)) <= _TIE_TOL * (1.0 + np.abs(qs[:-1])))
+    qs = Q[order, at]
+    close = near & (np.abs(np.diff(qs, axis=0)) <= _TIE_TOL * (1.0 + np.abs(qs[:-1])))
     out = useg.copy()
     groups = []
     for k in np.flatnonzero(close.any(axis=0)):

@@ -2,14 +2,15 @@
 
 For a utility-price vector beta > 0 the price density is the pointwise upper
 envelope p(theta) = max_i beta_i * v_i(theta).  On each grid segment that is
-an envelope of n lines.  One left-to-right leader sweep computes all K
-segment envelopes at once: every step advances each open segment from its
-current leader to the nearest point where a steeper line overtakes it.  Each
-line can lead at most once per segment, so the sweep takes as many steps as
-the busiest segment has leaders.  Ties go to the steepest line, then the
-smallest buyer index, so the winning sets are a deterministic selection from
-the subdifferential.  The same pieces give the (n, K) winning-utility matrix
-in one accumulation.
+an envelope of n lines, which is the upper convex hull of the points (slope,
+height) read in the dual plane (Andrew 1979).  One slope-sorted elimination
+computes all K segment envelopes at once: the lines are sorted by slope, and
+each round drops, in every segment, every line that its two current slope
+neighbours hide there.  So the number of rounds does not follow the number
+of pieces, as a left-to-right sweep's steps would.  Ties go to the steepest
+line, then the smallest buyer index, so the winning sets are a deterministic
+selection from the subdifferential.  The same pieces give the (n, K)
+winning-utility matrix in one accumulation.
 
 The reduced dual is psi(beta) = integral(p) - sum_i B_i log beta_i; its
 subgradient has components (winning utility of buyer i) - B_i / beta_i.
@@ -25,7 +26,7 @@ from .errors import DomainError
 from .market import MarketInstance
 
 ENV_TOL = 1e-9      # owner certification tolerance (dominance slack)
-_TIE_EPS = 1e-13    # relative slack when grouping equal leaders at a point
+_TIE_EPS = 1e-13    # relative slack: shortest piece kept, equal heights
 
 
 @dataclass
@@ -79,63 +80,56 @@ def beta_bounds(instance: MarketInstance):
 def upper_envelope(instance: MarketInstance, beta) -> PiecewiseLinearFunction:
     """Exact envelope p = max_i beta_i v_i with per-piece owners.
 
-    One leader sweep advances every grid segment at once: each step finds,
-    for every segment still open, the nearest crossing x where a steeper
-    line overtakes the current leader and the line that leads right after
-    it.  Ties at a point go to the steepest line, then the smallest index,
-    so the winner is the line that dominates immediately to the right.  A
-    segment closes when no crossing lies before its right end; leader slopes
-    rise strictly, so the sweep takes at most n steps.
+    The lines of every segment are sorted by slope, and of equal slopes only
+    the highest stays (heights within _TIE_EPS go to the smallest index).
+    Then each round drops, in all segments at once, every line whose
+    interval between its crossings with its slope neighbours, clipped to the
+    segment, is not longer than _TIE_EPS (relative to where it starts): it
+    lies under its neighbours there.  The survivors, in slope order, are the
+    pieces and consecutive crossings their breakpoints, so a point where
+    several lines meet goes to the steepest: the owner of a piece dominates
+    right of its left end.
     """
     beta = np.asarray(beta, dtype=float)
-    # NaN fails both comparisons; a non-finite beta never closes a segment
+    # NaN fails both comparisons
     if beta.shape != (instance.n,) or not np.all((beta > 0) & (beta < np.inf)):
         raise DomainError("beta must be finite and positive, one entry per buyer")
     pts = instance.grid.points
     M = beta[:, None] * instance.c
     Q = beta[:, None] * instance.d
-    m, q = M, Q                       # columns of the segments still open
-    cols = np.arange(instance.num_segments)
-    idx = cols
-    x = pts[:-1]
-    stop = pts[1:] - _TIE_EPS
-    vals = m * x + q
-    vmax = vals.max(axis=0)
-    cand = vals >= vmax - _TIE_EPS * (1.0 + np.abs(vmax))
-    leader = np.where(cand, m, -np.inf).argmax(axis=0)
-    segs, owners, ends = [], [], []
+    n, K = M.shape
+    # rows: slope, height, segment ends and flat (buyer, segment) index of
+    # every line, segment by segment and by slope within a segment
+    at = (np.argsort(M.T, axis=1) * K + np.arange(K)[:, None]).ravel()
+    lines = np.stack([M.ravel()[at], Q.ravel()[at], np.repeat(pts[:-1], n),
+                      np.repeat(pts[1:], n), at])
+    m, q = lines[0], lines[1]
+    # the lines that lose a tie of equal slopes get height -inf, so that the
+    # first round drops them and their neighbours see past them
+    same = m[1:] == m[:-1]
+    same[n - 1::n] = False            # a run ends with its segment
+    tied = np.flatnonzero(np.append(same, False) | np.append(False, same))
+    first = ~np.append(False, same)[tied]
+    runs = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    top = np.maximum.reduceat(q[tied], runs)[run]
+    high = q[tied] >= top - _TIE_EPS * (1.0 + np.abs(top))
+    owner = at[tied] // K
+    q[tied[owner != np.minimum.reduceat(np.where(high, owner, n), runs)[run]]] = -np.inf
     with np.errstate(divide="ignore", invalid="ignore"):
-        while cols.size:
-            dm = m - m[leader, idx]
-            xc = q[leader, idx] - q
-            xc /= dm
-            # only steeper lines cross, and only to the right of x
-            past = dm <= 0.0
-            past |= xc <= x + _TIE_EPS
-            xc[past] = np.inf
-            nxt = xc.min(axis=0)
-            at_next = xc <= nxt + _TIE_EPS * (1.0 + np.abs(nxt))
-            segs.append(cols)
-            owners.append(leader)
-            ends.append(nxt)
-            leader = np.where(at_next, m, -np.inf).argmax(axis=0)
-            x = nxt
-            done = nxt >= stop
-            if np.count_nonzero(done):
-                keep = ~done
-                cols, leader, x, stop = cols[keep], leader[keep], x[keep], stop[keep]
-                m, q = m[:, keep], q[:, keep]
-                idx = np.arange(cols.size)
-    segs = np.concatenate(segs)
-    order = np.argsort(segs, kind="stable")
-    segs = segs[order]
-    owners = np.concatenate(owners)[order]
-    ends = np.concatenate(ends)[order]
-    # a segment's last piece ends at the segment's right end
-    ends[np.append(segs[1:] != segs[:-1], True)] = pts[1:]
-    return PiecewiseLinearFunction(
-        breakpoints=np.concatenate([[0.0], ends]),
-        cs=M[owners, segs], ds=Q[owners, segs], owners=owners, segments=segs)
+        while True:
+            m, q, lo, hi, _ = lines
+            # fmax/fmin skip the NaN of two equal lines; between segments the
+            # clip gives the segments' common end whatever the crossing
+            x = np.fmin(np.fmax((q[:-1] - q[1:]) / (m[1:] - m[:-1]), lo[1:]), hi[:-1])
+            ends = np.concatenate(([pts[0]], x, [pts[-1]]))
+            keep = np.diff(ends) > _TIE_EPS * (1.0 + ends[:-1])
+            if keep.all():
+                break
+            lines = lines[:, keep]
+    at = lines[4].astype(np.intp)
+    return PiecewiseLinearFunction(breakpoints=ends, cs=m, ds=q, owners=at // K,
+                                   segments=at % K)
 
 
 def certify_envelope(instance: MarketInstance, beta,
@@ -162,8 +156,8 @@ def _winning_matrix(instance: MarketInstance,
                     env: PiecewiseLinearFunction) -> np.ndarray:
     """(n, K) unscaled value of the envelope pieces, summed per (owner, segment).
 
-    Every piece has positive length: the sweep cuts only past its current
-    point and before the segment's end.
+    Every piece has positive length: the envelope keeps none shorter than
+    _TIE_EPS.
     """
     b = env.breakpoints
     lo, hi = b[:-1], b[1:]

@@ -11,6 +11,7 @@ from fisher_fair import (
     build_instance,
     dual_objective,
     dual_solver,
+    dual_subgradient,
     solve,
 )
 from fisher_fair.dual_solver import (
@@ -18,6 +19,7 @@ from fisher_fair.dual_solver import (
     _SMOOTH_MUS,
     _smoothed_dual,
     _smoothing_cells,
+    _split_winning_ties,
     allocation_from_beta,
     duality_constant,
     duality_gap,
@@ -79,6 +81,24 @@ def test_proportional_buyers_tie_split(inst, beta, u):
         report = check_equilibrium(inst, res.allocation, res.beta, tol=1e-6,
                                    delta=res.delta)
         assert report.passed, report.to_json()
+
+
+def test_tie_screen_passes_only_close_slopes(random_instance, monkeypatch):
+    # no two slopes of a segment are close: the input comes back as it is,
+    # before any grouping sort
+    inst = random_instance(30, 4, seed=8)
+    beta = np.random.default_rng(8).uniform(*beta_bounds(inst))
+    useg = dual_subgradient(inst, beta)[2]
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "lexsort", None)
+        assert _split_winning_ties(inst, beta, useg) is useg
+    # proportional ties pass the screen and are split
+    for inst, beta, u in PROPORTIONAL_TIES:
+        beta = np.asarray(beta)
+        useg = dual_subgradient(inst, beta)[2]
+        out = _split_winning_ties(inst, beta, useg)
+        assert out is not useg
+        assert np.allclose(out.sum(axis=1), u, atol=1e-7)
 
 
 def test_duality_sandwich_every_iterate(example5):

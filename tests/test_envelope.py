@@ -5,9 +5,12 @@ from hypothesis import strategies as st
 
 from fisher_fair import (
     DomainError,
+    NotConverged,
+    SolveConfig,
     build_instance,
     dual_objective,
     dual_subgradient,
+    load_instance,
     solve,
     upper_envelope,
     winning_utilities,
@@ -65,8 +68,73 @@ def test_envelope_concurrent_lines_go_to_steepest():
     assert env.breakpoints[1] == 0.5
 
 
+def assert_exact_envelope(inst, beta, env):
+    theta = np.linspace(0.0, 1.0, 5001)
+    direct = np.max(beta[:, None] * inst.values_at(theta), axis=0)
+    assert np.abs(env(theta) - direct).max() <= 1e-12
+    assert certify_envelope(inst, beta, env)
+
+
+def test_envelope_piecewise_constant_ties_to_smallest_index():
+    # the paper's case: every slope 0.  Each row is a permutation of the same
+    # integers on equal segments, so the totals agree but their float sums
+    # do not: after normalization the tied heights are ulps apart, and on
+    # four segments the exact maximum is not the smallest index
+    rng = np.random.default_rng(2)
+    n = 300
+    pts = np.linspace(0.0, 1.0, 6)
+    heights = np.array([rng.permutation([1.0, 1.0, 2.0, 2.0, 3.0]) for _ in range(n)])
+    inst = build_instance(np.ones(n), pts, np.zeros((n, 5)), heights)
+    beta = np.full(n, 0.7)
+    env = upper_envelope(inst, beta)
+    highest = [int(np.flatnonzero(col == col.max())[0]) for col in heights.T]
+    assert env.segments.tolist() == list(range(5))
+    assert env.owners.tolist() == highest
+    assert np.count_nonzero(env.owners != np.argmax(inst.d, axis=0)) == 4
+    assert_exact_envelope(inst, beta, env)
+
+
+def test_envelope_parallel_lines_go_to_the_higher():
+    # dyadic data with equal totals, so normalization keeps slopes equal:
+    # buyers 0 and 1 are parallel on segment 0, 1 the higher; buyer 2 is
+    # flat below them there and the highest on segment 1
+    inst = build_instance([1 / 3] * 3, [0, 0.5, 1], [[1, 0], [1, 0], [0, 0]],
+                          [[0.25, 0.75], [0.5, 0.5], [0.25, 1.0]])
+    beta = np.ones(3)
+    env = upper_envelope(inst, beta)
+    assert owner_sequence(env) == [1, 2]
+    assert env.breakpoints[1] == 0.5
+    assert_exact_envelope(inst, beta, env)
+
+
+def test_envelope_identical_lines_apart_in_index():
+    # equal totals again.  On segment 0 buyers 0 and 2 have one line and
+    # buyer 1 a parallel lower one, which sits between them in slope order;
+    # the steeper buyer 3 overtakes at 1/3, and buyer 1 leads on segment 1
+    inst = build_instance([0.25] * 4, [0, 0.5, 1],
+                          [[0.5, 0], [0.5, 0], [0.5, 0], [2, 0]],
+                          [[0.5, 0.25], [0.25, 0.5], [0.5, 0.25], [0, 0.375]])
+    beta = np.ones(4)
+    env = upper_envelope(inst, beta)
+    assert owner_sequence(env) == [0, 3, 1]
+    assert env.breakpoints[1] == pytest.approx(1 / 3, abs=1e-15)
+    assert_exact_envelope(inst, beta, env)
+
+
+def test_envelope_crowded_segment():
+    # n >> K near the equilibrium, where every buyer wins something: a
+    # segment holds many pieces
+    inst = load_instance(sample_document(300, 5, 1))
+    with pytest.raises(NotConverged) as exc:
+        solve(inst, SolveConfig(max_iter=1))
+    beta = exc.value.result.beta
+    env = upper_envelope(inst, beta)
+    assert np.bincount(env.segments).max() > 50
+    assert_exact_envelope(inst, beta, env)
+
+
 def test_envelope_rejects_nonpositive_beta(example5):
-    # a NaN or infinite entry would keep a segment open forever
+    # a NaN or infinite entry makes the crossings NaN
     for bad in (0.0, np.nan, np.inf, -np.inf):
         with pytest.raises(DomainError):
             upper_envelope(example5, np.array([0.5, 0.5, bad, 0.5]))

@@ -15,6 +15,9 @@ document it records:
 * ``cli``: the exit code and a SHA-256 of the file ``solve --out`` writes;
 * ``conic``: a SHA-256 of each key of ``emit_conic_program(...).to_json()``
   except ``meta``;
+* ``envelope``: the pieces of ``upper_envelope`` at the solved beta, at both
+  corners of ``beta_bounds`` and at five seeded perturbations of the solved
+  beta by up to 3%, so envelopes that the solver never visits count too;
 
 on crowded documents ``sda``: ``allocation_from_beta`` at the average of an
 SDA run of the benchmark's length and seed; and on crosscheck documents
@@ -45,6 +48,8 @@ import tempfile  # noqa: E402
 from collections import Counter  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 WORKLOADS = ("grid", "crowded", "crosscheck")
 
 
@@ -52,13 +57,16 @@ def _sha(value):
     return hashlib.sha256(json.dumps(value).encode()).hexdigest()
 
 
+def _pieces(env, prefix=""):
+    return {f"{prefix}{name}": getattr(env, name).tolist()
+            for name in ("breakpoints", "cs", "ds", "owners", "segments")}
+
+
 def _result_fields(res):
     """Every output of a result, as JSON values."""
     fields = res.to_json()
     fields["gap_history"] = res.gap_history
-    env = res.prices
-    for name in ("breakpoints", "cs", "ds", "owners", "segments"):
-        fields[f"prices.{name}"] = getattr(env, name).tolist()
+    fields.update(_pieces(res.prices, "prices."))
     return fields
 
 
@@ -89,6 +97,15 @@ def _records(lib, wl, workload, seed, tmp):
         fields = _checked(lib, wl, inst, res)
         fields["not_converged"] = message
         yield "solve", key, fields
+
+        lo, hi = lib.envelope.beta_bounds(inst)
+        rng = np.random.default_rng([seed, i])
+        betas = [("solved", res.beta), ("lo", lo), ("hi", hi)] + [
+            (f"perturbed{j}", res.beta * rng.uniform(0.97, 1.03, inst.n))
+            for j in range(5)]
+        for label, beta in betas:
+            yield "envelope", f"{key}/{label}", _pieces(
+                lib.envelope.upper_envelope(inst, beta))
 
         path = Path(tmp) / "instance.json"
         out = Path(tmp) / "result.json"
@@ -121,11 +138,11 @@ def record(root, out_path, seeds):
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads as wl
-    from fisher_fair import (cli, dual_solver, ellipsoid, errors, feasible, market,
-                             sda, verification)
+    from fisher_fair import (cli, dual_solver, ellipsoid, envelope, errors, feasible,
+                             market, sda, verification)
     lib = argparse.Namespace(cli=cli, dual_solver=dual_solver, ellipsoid=ellipsoid,
-                             errors=errors, feasible=feasible, market=market, sda=sda,
-                             verification=verification)
+                             envelope=envelope, errors=errors, feasible=feasible,
+                             market=market, sda=sda, verification=verification)
     counts = Counter()
     with open(out_path, "w", encoding="utf-8") as fh, \
             tempfile.TemporaryDirectory() as tmp:
