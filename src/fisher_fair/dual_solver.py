@@ -40,12 +40,14 @@ The run has two phases:
 
 Acceptance of a solution is by the certified duality gap and the
 utility-price identity of the allocation, never by iteration count.  The
-allocation is the winning sets at the best beta: ``pure_allocation`` cuts
-each segment greedily at the winning per-segment utilities, which are
-exactly feasible, so nothing is projected or clipped.  A region where several
-scaled lines tie is split by price mass, in each buyer's own units, so the
-split stays attainable when the tied densities are proportional rather than
-equal.  The ellipsoid solver builds its allocation with the same routine.
+allocation is the winning sets at the best beta: ``pure_allocation`` reads
+them off the envelope pieces, which are the greedy cuts at the winning
+per-segment utilities, so nothing is projected or clipped.  A region where
+several scaled lines tie is split by price mass, in each buyer's own units,
+so the split stays attainable when the tied densities are proportional
+rather than equal; such a segment is cut greedily at its split utilities.
+The ellipsoid solver builds its allocation with the same routine, cutting
+every segment greedily.
 """
 
 from __future__ import annotations
@@ -54,9 +56,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import PiecewiseLinearFunction, beta_bounds, dual_subgradient
+from .envelope import (PiecewiseLinearFunction, _winning_matrix, beta_bounds,
+                       dual_subgradient)
 from .errors import DomainError, NotConverged
-from .feasible import partition_segment
+from .feasible import LAMBDA_FLOOR, partition_segment
 from .market import Interval, MarketInstance, QUASILINEAR
 
 GAP_TOL = 1e-8
@@ -261,19 +264,38 @@ def _envelope_hessian(instance, env, beta):
     return H
 
 
-def pure_allocation(instance: MarketInstance, useg):
+def pure_allocation(instance: MarketInstance, useg, env=None):
     """Pure allocation attaining exactly feasible (n, K) per-segment utilities.
 
-    One greedy partition per segment, in strict mode, so infeasible input
-    raises InfeasibleUtilities; only buyers with a positive target get a
-    part, and the last of them takes the segment's remainder.  Parts of zero
-    length are dropped, and a segment no buyer takes goes to ``leftover``.
-    Returns the allocation and the (n, K) utilities of its intervals.
+    Given the envelope ``env`` that ``useg`` was read from, a segment whose
+    column is the winning one and whose pieces are each worth more than
+    LAMBDA_FLOOR to their owners gets its envelope pieces as intervals: the
+    greedy cut order is the envelope's left-to-right owner order, so each
+    cut lands on a crossing.  Every other segment (a split tie, or any
+    segment when ``env`` is None) gets one greedy partition, in strict mode,
+    so infeasible input raises InfeasibleUtilities; only buyers with a
+    positive target get a part, and the last of them takes the segment's
+    remainder.  Parts of zero length are dropped, and a segment no buyer
+    takes goes to ``leftover``.  Returns the allocation and the (n, K)
+    utilities of its intervals.
     """
     intervals = [[] for _ in range(instance.n)]
     leftover = []
-    out = np.zeros_like(useg)
-    for k in range(instance.num_segments):
+    K = instance.num_segments
+    read = np.zeros(K, dtype=bool)
+    if env is not None:
+        W = _winning_matrix(instance, env)
+        read = (useg == W).all(axis=0)
+        read[env.segments[W[env.owners, env.segments] <= LAMBDA_FLOOR]] = False
+        first = np.searchsorted(env.segments, np.arange(K + 1)).tolist()
+        ends = env.breakpoints.tolist()
+        owners = env.owners.tolist()
+    out = np.where(read, useg, 0.0)
+    for k in range(K):
+        if read[k]:
+            for j in range(first[k], first[k + 1]):
+                intervals[owners[j]].append(Interval(ends[j], ends[j + 1]))
+            continue
         parts = partition_segment(instance, k, useg[:, k])
         taken = [i for i in np.flatnonzero(useg[:, k] > 0.0).tolist()
                  if parts[i].length > 0.0]
@@ -303,7 +325,7 @@ def duality_gap(instance: MarketInstance, beta, psi, u):
 def _result(instance, beta, psi, useg, env, iterations, gap_history=None):
     """EquilibriumResult at beta: the pure allocation attaining the tie-split
     winning utilities ``useg``, and its certified gap (inf when not finite)."""
-    allocation, useg = pure_allocation(instance, useg)
+    allocation, useg = pure_allocation(instance, useg, env)
     gap, u, delta, net = duality_gap(instance, beta, psi, useg.sum(axis=1))
     return EquilibriumResult(beta=beta, u=u, useg=useg, allocation=allocation,
                              prices=env, gap=float(gap if np.isfinite(gap) else np.inf),

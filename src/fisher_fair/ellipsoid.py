@@ -35,8 +35,10 @@ reported.  The shape matrix P is kept as a running scalar times a matrix
 updated in place: each step's rank-one downdate is buffered as one row of a
 small matrix, which a single matrix product folds in every _FOLD steps.  The
 returned utilities are discounted back to exact per-segment feasibility and
-turned into a pure allocation by ``dual_solver.pure_allocation``, whose
-remainder rule (the last buyer with a positive utility) clears the market.
+turned into a pure allocation by ``dual_solver.pure_allocation``, which
+cuts every segment greedily (there is no envelope to read them off) and
+whose remainder rule (the last buyer with a positive utility) clears the
+market.
 """
 
 from __future__ import annotations

@@ -3,8 +3,11 @@ independent discretized-market oracle.
 
 ``check_equilibrium`` rebuilds the price envelope from beta and measures
 every optimality condition of the reported pure allocation; it reports and
-never throws on a bad solution.  ``fairness`` evaluates budget-weighted envy
-and proportionality exactly.  ``discretized_oracle`` runs proportional
+never throws on a bad solution, only on a malformed allocation.
+``fairness`` evaluates budget-weighted envy and proportionality exactly.
+Both flatten the allocation once into (owner, lo, hi) arrays and value all
+its overlaps with envelope pieces or grid segments in one array pass.
+``discretized_oracle`` runs proportional
 response dynamics on a finite split of [0, 1]; the dynamics share no code
 path or algorithmic idea with the solvers, which makes them a genuinely
 independent cross-check (accurate to the O(1/m) discretization error).
@@ -89,47 +92,52 @@ class FairnessReport:
         }
 
 
-def _validate_allocation(allocation):
-    spans = []
-    for i, ivs in enumerate(allocation.intervals):
-        for iv in ivs:
-            if iv.lo < -1e-12 or iv.hi > 1.0 + 1e-12:
-                raise ValidationError(f"buyer {i} interval {iv} leaves [0, 1]")
-            if iv.length > 0:
-                spans.append((iv.lo, iv.hi))
-    for iv in allocation.leftover:
-        if iv.length > 0:
-            spans.append((iv.lo, iv.hi))
-    spans.sort()
-    for (l1, h1), (l2, h2) in zip(spans, spans[1:]):
-        if l2 < h1 - 1e-9:
-            raise ValidationError(
-                f"allocation intervals overlap: [{l1}, {h1}] and [{l2}, {h2}]")
+def _validate_allocation(instance, allocation):
+    """(owner, lo, hi) arrays of the allocation's intervals of positive
+    length, buyer by buyer in listing order.  Raises ValidationError unless
+    there is one interval list per buyer, every interval (leftover included)
+    lies in [0, 1] and no two overlap; each error names the first offending
+    interval."""
+    if len(allocation.intervals) != instance.n:
+        raise ValidationError(f"allocation has {len(allocation.intervals)} "
+                              f"interval lists for {instance.n} buyers")
+    ivs = [iv for buyer in allocation.intervals for iv in buyer]
+    owner = np.repeat(np.arange(instance.n),
+                      [len(buyer) for buyer in allocation.intervals])
+    lo, hi = np.array([(iv.lo, iv.hi) for iv in ivs + allocation.leftover],
+                      dtype=float).reshape(-1, 2).T
+    out = np.flatnonzero((lo < -1e-12) | (hi > 1.0 + 1e-12))
+    if out.size:
+        t = int(out[0])
+        where = (f"buyer {int(owner[t])} interval {ivs[t]}" if t < len(ivs)
+                 else f"leftover interval {allocation.leftover[t - len(ivs)]}")
+        raise ValidationError(f"{where} leaves [0, 1]")
+    spans = hi - lo > 0
+    order = np.lexsort((hi[spans], lo[spans]))
+    l, h = lo[spans][order], hi[spans][order]
+    bad = np.flatnonzero(l[1:] < h[:-1] - 1e-9)
+    if bad.size:
+        pair = slice(bad[0], bad[0] + 2)
+        (l1, l2), (h1, h2) = l[pair].tolist(), h[pair].tolist()
+        raise ValidationError(
+            f"allocation intervals overlap: [{l1}, {h1}] and [{l2}, {h2}]")
+    keep = spans[:len(ivs)]
+    return owner[keep], lo[:len(ivs)][keep], hi[:len(ivs)][keep]
 
 
-def _inner_product(env, instance, i, iv, scaled_beta):
-    """(<p, 1_iv>, <v_i, 1_iv>, sup over iv of p - beta_i v_i)."""
-    b = env.breakpoints
-    j0 = int(env.locate(iv.lo))
-    j1 = int(env.locate(np.nextafter(iv.hi, iv.lo)))
-    p_mass = 0.0
-    v_mass = 0.0
-    sup = 0.0
-    for j in range(j0, j1 + 1):
-        lo = max(iv.lo, b[j])
-        hi = min(iv.hi, b[j + 1])
-        if hi <= lo:
-            continue
-        k = env.segments[j]
-        mid = 0.5 * (lo + hi)
-        length = hi - lo
-        p_mass += length * (env.cs[j] * mid + env.ds[j])
-        vi_c, vi_d = instance.c[i, k], instance.d[i, k]
-        v_mass += length * (vi_c * mid + vi_d)
-        for x in (lo, hi):
-            gap = (env.cs[j] * x + env.ds[j]) - scaled_beta * (vi_c * x + vi_d)
-            sup = max(sup, gap)
-    return p_mass, v_mass, sup
+def _overlaps(points, locate, lo, hi):
+    """(interval, piece, left, right) of every overlap of positive length
+    between the intervals [lo, hi] (each of positive length) and the pieces
+    [points[j], points[j + 1]] that ``locate`` finds, interval by interval
+    and left to right within one."""
+    first = locate(lo)
+    count = locate(np.nextafter(hi, lo)) - first + 1
+    t = np.repeat(np.arange(lo.size), count)
+    j = first[t] + np.arange(t.size) - np.repeat(np.cumsum(count) - count, count)
+    left = np.maximum(lo[t], points[j])
+    right = np.minimum(hi[t], points[j + 1])
+    keep = right > left
+    return t[keep], j[keep], left[keep], right[keep]
 
 
 def check_equilibrium(instance: MarketInstance, allocation: PureAllocation,
@@ -143,36 +151,40 @@ def check_equilibrium(instance: MarketInstance, allocation: PureAllocation,
     envelope mass against total spend, and the duality gap after adding the
     constant C to the primal.  In quasilinear mode spend_i = B_i - delta_i,
     target_i = B_i/beta_i - delta_i, and the complementarity residuals
-    |delta_i (1 - beta_i)| are included.
+    |delta_i (1 - beta_i)| are included.  Every (interval, envelope piece)
+    overlap is valued at once; masses are summed per interval, then per
+    buyer, each in order.
     """
     beta = np.asarray(beta, dtype=float)
     n = instance.n
     B = instance.budgets
-    if delta is None:
-        delta = np.zeros(n)
-    else:
-        delta = np.asarray(delta, dtype=float)
-    _validate_allocation(allocation)
+    delta = np.zeros(n) if delta is None else np.asarray(delta, dtype=float)
+    if delta.shape != (n,) or not np.all(np.isfinite(delta)):
+        raise ValidationError("delta must be finite, one entry per buyer")
+    owner, lo, hi = _validate_allocation(instance, allocation)
     env = upper_envelope(instance, beta)
     p_total = env.integral()
-    budget = np.zeros(n)
-    uprice = np.zeros(n)
+    t, j, left, right = _overlaps(env.breakpoints, env.locate, lo, hi)
+    i, k = owner[t], env.segments[j]
+    ci, di, sb = instance.c[i, k], instance.d[i, k], beta[i]
+    mid = 0.5 * (left + right)
+    length = right - left
+    sup = np.maximum(*[(env.cs[j] * x + env.ds[j]) - sb * (ci * x + di)
+                       for x in (left, right)])
+    # each buyer's sup starts at 0; a gap that is not positive adds +0.0
     comp = np.zeros(n)
-    covered = 0.0
-    u = np.zeros(n)
-    for i in range(n):
-        spend = 0.0
-        for iv in allocation.intervals[i]:
-            if iv.length <= 0:
-                continue
-            p_mass, v_mass, sup = _inner_product(env, instance, i, iv, beta[i])
-            spend += p_mass
-            u[i] += v_mass
-            comp[i] = max(comp[i], sup)
-        covered += spend
-        budget[i] = abs(spend - (B[i] - delta[i]))
-        uprice[i] = abs(u[i] - (B[i] / beta[i] - delta[i]))
-    market_clear = abs(p_total - covered)
+    np.maximum.at(comp, i, np.where(sup > 0.0, sup, 0.0))
+
+    def per_buyer(w):
+        return np.bincount(owner, weights=np.bincount(t, weights=w, minlength=lo.size),
+                           minlength=n)
+
+    spend = per_buyer(length * (env.cs[j] * mid + env.ds[j]))
+    u = per_buyer(length * (ci * mid + di))
+    budget = np.abs(spend - (B - delta))
+    uprice = np.abs(u - (B / beta - delta))
+    # cumsum adds in buyer order, as a running total would
+    market_clear = abs(p_total - float(np.cumsum(spend)[-1]))
     mass_target = float(B.sum() - delta.sum())
     price_mass = abs(p_total - mass_target)
     C = duality_constant(instance)
@@ -194,20 +206,33 @@ def check_equilibrium(instance: MarketInstance, allocation: PureAllocation,
                      tol=tol)
 
 
+def _values(instance, owner, lo, hi):
+    """(n, n) matrix of <v_i, x_j>, exact: every buyer's value of every
+    (interval, grid segment) overlap at once, summed per interval, then per
+    owner, each in order."""
+    n, m = instance.n, lo.size
+    grid = instance.grid
+    t, k, left, right = _overlaps(grid.points, grid.locate, lo, hi)
+    value = instance.c[:, k]
+    value *= 0.5 * (left + right)
+    value += instance.d[:, k]
+    value *= right - left
+    rows = np.arange(n)[:, None]
+    per_interval = np.bincount((rows * m + t).ravel(), weights=value.ravel(),
+                               minlength=n * m)
+    return np.bincount((rows * n + owner).ravel(), weights=per_interval,
+                       minlength=n * n).reshape(n, n)
+
+
 def fairness(instance: MarketInstance, allocation: PureAllocation,
              tol: float = FAIR_TOL) -> FairnessReport:
     """Budget-weighted envy matrix and proportionality slacks, computed with
     exact interval integrals.  The Pareto certificate is the duality gap at
     the allocation-implied utility prices B_i / u_i."""
-    _validate_allocation(allocation)
+    owner, lo, hi = _validate_allocation(instance, allocation)
     n = instance.n
     B = instance.budgets
-    vals = np.zeros((n, n))  # vals[i, j] = <v_i, x_j>
-    for j in range(n):
-        for iv in allocation.intervals[j]:
-            if iv.length <= 0:
-                continue
-            vals[:, j] += instance.interval_values(iv)
+    vals = _values(instance, owner, lo, hi)
     u = np.diag(vals).copy()
     per_budget = vals / B[None, :]
     envy = per_budget - np.diag(per_budget)[:, None]

@@ -23,9 +23,11 @@ from fisher_fair.dual_solver import (
     allocation_from_beta,
     duality_constant,
     duality_gap,
+    pure_allocation,
 )
 from fisher_fair.envelope import beta_bounds
 from fisher_fair.sampling import sample_instance
+from fisher_fair.sda import sda_run
 from fisher_fair.verification import check_equilibrium, discretized_oracle, fairness
 from tests.conftest import EX5_BETA, EX5_CUTS, EX5_U
 
@@ -99,6 +101,88 @@ def test_tie_screen_passes_only_close_slopes(random_instance, monkeypatch):
         out = _split_winning_ties(inst, beta, useg)
         assert out is not useg
         assert np.allclose(out.sum(axis=1), u, atol=1e-7)
+
+
+def _assert_same_allocation(read, cut):
+    """Read-off and greedy allocations with their (n, K) utilities: equal
+    interval counts and leftover, endpoints and utilities within 1e-15."""
+    (a, ua), (b, ub) = read, cut
+    assert a.leftover == b.leftover
+    assert [len(ivs) for ivs in a.intervals] == [len(ivs) for ivs in b.intervals]
+    ends = [[iv.as_pair() for ivs in alloc.intervals for iv in ivs] for alloc in (a, b)]
+    assert np.abs(np.array(ends[0]) - np.array(ends[1])).max(initial=0.0) <= 1e-15
+    assert np.abs(ua - ub).max() <= 1e-15
+
+
+def _cut_segments(monkeypatch):
+    """Segments that pure_allocation hands to the greedy partition, in call order."""
+    calls = []
+    partition = dual_solver.partition_segment
+    monkeypatch.setattr(dual_solver, "partition_segment",
+                        lambda inst, k, u: calls.append(k) or partition(inst, k, u))
+    return calls
+
+
+@pytest.mark.parametrize("mode", ["linear", "quasilinear"])
+def test_read_off_allocation_matches_greedy_cuts(mode, monkeypatch):
+    # at any beta the envelope pieces are the greedy cuts at the winning
+    # utilities, so no segment is cut when no tie was split
+    rng = np.random.default_rng(18)
+    for n, k, seed in ((2, 1, 1), (5, 3, 2), (12, 6, 3), (40, 4, 4), (30, 30, 5)):
+        inst = sample_instance(n, k, seed, mode=mode)
+        lo, hi = beta_bounds(inst)
+        betas = [solve(inst).beta] + [lo + rng.uniform(0.05, 0.95, n) * (hi - lo)
+                                      for _ in range(5)]
+        for beta in betas:
+            _, _, W, env = dual_subgradient(inst, beta)
+            useg = _split_winning_ties(inst, beta, W)
+            assert useg is W
+            calls = _cut_segments(monkeypatch)
+            read = pure_allocation(inst, useg, env)
+            assert calls == []
+            assert np.array_equal(read[1], W)
+            _assert_same_allocation(read, pure_allocation(inst, useg))
+            monkeypatch.undo()
+
+
+# the linear split hands segment 0 to buyer 0 whole, as the envelope does, so
+# that column is unchanged and read off; the quasilinear one moves it to buyer 1
+@pytest.mark.parametrize("case,cut", zip(PROPORTIONAL_TIES, ([], [0])),
+                         ids=["linear", "quasilinear"])
+def test_split_ties_still_cut_greedily(case, cut, monkeypatch):
+    inst, beta, _ = case
+    beta = np.asarray(beta)
+    _, _, W, env = dual_subgradient(inst, beta)
+    useg = _split_winning_ties(inst, beta, W)
+    calls = _cut_segments(monkeypatch)
+    read = pure_allocation(inst, useg, env)
+    assert calls == np.flatnonzero((useg != W).any(axis=0)).tolist() == cut
+    _assert_same_allocation(read, pure_allocation(inst, useg))
+
+
+def test_segment_worth_nothing_is_left_over(monkeypatch):
+    # [0, 0.5] is worth nothing to either buyer: its envelope piece goes
+    # through the greedy partition, which leaves it over
+    inst = build_instance([0.5, 0.5], [0, 0.5, 1], [[0, 0], [0, 2]], [[0, 1], [0, 0]])
+    calls = _cut_segments(monkeypatch)
+    res = solve(inst)
+    assert calls == [0]
+    assert [iv.as_pair() for iv in res.allocation.leftover] == [(0.0, 0.5)]
+    assert check_equilibrium(inst, res.allocation, res.beta, tol=1e-6).passed
+
+
+@pytest.mark.parametrize("mode,n,k", [("linear", 80, 5), ("linear", 300, 5),
+                                      ("quasilinear", 80, 5)])
+def test_allocation_from_beta_reads_off_at_sda_average(mode, n, k):
+    inst = sample_instance(n, k, 7, mode=mode)
+    avg = sda_run(inst, 20000, 7).beta_avg[-1]
+    res = allocation_from_beta(inst, avg)
+    _, _, W, _ = dual_subgradient(inst, res.beta)
+    useg = _split_winning_ties(inst, res.beta, W)
+    _assert_same_allocation((res.allocation, res.useg), pure_allocation(inst, useg))
+    report = check_equilibrium(inst, res.allocation, res.beta, delta=res.delta)
+    assert report.market_clear_residual <= 1e-12
+    assert report.comp_slack_residuals.max() <= 1e-12
 
 
 def test_duality_sandwich_every_iterate(example5):

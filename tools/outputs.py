@@ -28,8 +28,11 @@ round-trip repr, so two recordings agree field for field exactly when the
 outputs are bit-identical.
 
 ``compare`` prints the number of identical records of each kind and names
-every record and field that differs or exists on one side only; it exits 1
-when anything differs.  Run each side from its own checkout with one BLAS
+every record and field that differs or exists on one side only, with the
+field's largest absolute difference; then, for every field that differs
+anywhere, the number of records it differs in and its largest absolute
+difference over them.  It exits 1 when anything differs, so status 0 means
+bit-identical.  Run each side from its own checkout with one BLAS
 thread (the script sets ``OPENBLAS_NUM_THREADS=1`` before importing numpy).
 """
 
@@ -162,9 +165,29 @@ def _load(path):
     return {(r["kind"], r["key"]): r["fields"] for r in recs}
 
 
+def _max_diff(x, y):
+    """Largest absolute difference between the numbers of two JSON values of
+    one shape, or None when their shapes or any non-numbers differ."""
+    numbers = (int, float)
+    if isinstance(x, numbers) and isinstance(y, numbers):
+        return 0.0 if x == y else abs(x - y)
+    if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+        parts = [_max_diff(a, b) for a, b in zip(x, y)]
+    elif isinstance(x, dict) and isinstance(y, dict) and x.keys() == y.keys():
+        parts = [_max_diff(x[key], y[key]) for key in x]
+    else:
+        return 0.0 if x == y else None
+    return None if None in parts else max(parts, default=0.0)
+
+
+def _describe(diff):
+    return "not numeric" if diff is None else f"max |diff| {diff:.3g}"
+
+
 def compare(path_a, path_b):
     a, b = _load(path_a), _load(path_b)
     same, differ = Counter(), 0
+    fields = {}                       # (kind, field) -> [records, largest diff]
     for kind, key in sorted(a.keys() | b.keys()):
         if (kind, key) not in a or (kind, key) not in b:
             side = path_b if (kind, key) in b else path_a
@@ -172,14 +195,22 @@ def compare(path_a, path_b):
             differ += 1
             continue
         fa, fb = a[kind, key], b[kind, key]
-        bad = [name for name in sorted(fa.keys() | fb.keys())
-               if json.dumps(fa.get(name)) != json.dumps(fb.get(name))]
+        bad = {name: _max_diff(fa.get(name), fb.get(name))
+               for name in sorted(fa.keys() | fb.keys())
+               if json.dumps(fa.get(name)) != json.dumps(fb.get(name))}
         if bad:
-            print(f"{kind} {key}: differs in {', '.join(bad)}")
+            print(f"{kind} {key}: differs in "
+                  + ", ".join(f"{name} ({_describe(d)})" for name, d in bad.items()))
             differ += 1
+            for name, d in bad.items():
+                slot = fields.setdefault((kind, name), [0, 0.0])
+                slot[0] += 1
+                slot[1] = None if d is None or slot[1] is None else max(slot[1], d)
         else:
             same[kind] += 1
     print("identical:", ", ".join(f"{n} {kind}" for kind, n in sorted(same.items())))
+    for (kind, name), (records, d) in sorted(fields.items()):
+        print(f"{kind} {name}: differs in {records} records, {_describe(d)}")
     print(f"differing: {differ}")
     return 1 if differ else 0
 
