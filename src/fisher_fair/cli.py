@@ -66,8 +66,9 @@ def _write_csv(path, header, rows):
 
 def _read_result(path, keys, parse):
     """``parse`` applied to the JSON document of a result file.  Every key in
-    ``keys`` must be present, and a value of the wrong type or shape is a
-    ValidationError naming the file."""
+    ``keys`` must be present, and a value that ``parse`` cannot convert is a
+    ValidationError naming the file; the library functions that take the
+    parsed values check their shapes."""
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     missing = [k for k in keys if not isinstance(doc, dict) or k not in doc]
@@ -79,29 +80,9 @@ def _read_result(path, keys, parse):
         raise ValidationError(f"result file {path} is malformed: {exc}") from exc
 
 
-def _buyer_vector(values, n, name):
-    """``values`` as a float vector with one entry per buyer."""
-    vec = np.asarray(values, dtype=float)
-    if vec.shape != (n,):
-        raise ValidationError(f"{name} must hold {n} numbers, got shape {vec.shape}")
-    return vec
-
-
-def _read_beta(path, n):
+def _read_beta(path):
     return _read_result(path, ("beta",),
-                        lambda doc: _buyer_vector(doc["beta"], n, "beta"))
-
-
-def _parse_result(doc, n):
-    """EquilibriumResult of a result document for an n-buyer instance."""
-    result = EquilibriumResult.from_json(doc)
-    _buyer_vector(result.beta, n, "beta")
-    if len(result.allocation.intervals) != n:
-        raise ValidationError(f"intervals must hold {n} buyer lists, "
-                              f"got {len(result.allocation.intervals)}")
-    if result.delta is not None:
-        _buyer_vector(result.delta, n, "delta")
-    return result
+                        lambda doc: np.asarray(doc["beta"], dtype=float))
 
 
 def _cmd_solve(args):
@@ -129,7 +110,7 @@ def _cmd_solve(args):
 def _cmd_verify(args):
     instance = load_instance(args.instance)
     result = _read_result(args.result, ("beta", "u", "u_segments", "intervals"),
-                          lambda doc: _parse_result(doc, instance.n))
+                          EquilibriumResult.from_json)
     report = check_equilibrium(instance, result.allocation, result.beta,
                                tol=args.tol, delta=result.delta)
     fair = fairness(instance, result.allocation, tol=args.tol)
@@ -156,7 +137,7 @@ def _cmd_sda(args):
     instance = load_instance(args.instance)
     beta_ref = None
     if args.ref:
-        beta_ref = _read_beta(args.ref, instance.n)
+        beta_ref = _read_beta(args.ref)
     trace = sda_mod.sda_run(instance, args.iters, args.seed, beta_ref=beta_ref)
     header, rows = trace.csv_rows()
     _write_csv(args.out, header, rows)
@@ -180,7 +161,12 @@ def _cmd_ellipsoid(args):
 
 def _cmd_oracle(args):
     instance = load_instance(args.instance)
-    res = discretized_oracle(instance, args.cells)
+    try:
+        res = discretized_oracle(instance, args.cells)
+    except NotConverged as exc:
+        _write_json(exc.result.to_json(), args.out)
+        print(exc)
+        return 2
     _write_json(res.to_json(), args.out)
     print(f"proportional response converged in {res.rounds} rounds")
     return 0
@@ -194,7 +180,7 @@ def _cmd_sample(args):
 
 def _cmd_plot_data(args):
     instance = load_instance(args.instance)
-    beta = _read_beta(args.result, instance.n)
+    beta = _read_beta(args.result)
     header, rows = plot_data(instance, beta, num_points=args.points)
     _write_csv(args.out, header, [list(row) for row in rows])
     return 0

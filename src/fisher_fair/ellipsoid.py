@@ -50,8 +50,9 @@ import numpy as np
 
 from .envelope import beta_bounds, dual_subgradient, winning_utility_matrix
 from .errors import NumericalBreakdown, ValidationError
-# cut and partition_segment are unused here; perfbench/spans.py patches the
-# names ellipsoid.cut and ellipsoid.partition_segment
+# cut, membership and partition_segment are unused here; perfbench/spans.py
+# patches the names ellipsoid.cut, ellipsoid.membership and
+# ellipsoid.partition_segment
 from .feasible import greedy_cuts, membership, normalize_segment, partition_segment  # noqa: F401
 from .market import MarketInstance, cut  # noqa: F401
 from .dual_solver import EquilibriumResult, duality_gap, pure_allocation
@@ -273,13 +274,14 @@ def _discounted_utilities(system: PerturbedSystem, y):
 
 def _clip_to_membership(seg, u_col):
     """Waterfall the column through the greedy cuts, truncating any target
-    that exceeds the remaining capacity; the result is exactly feasible and
-    each buyer loses at most its own overshoot."""
+    that exceeds the remaining capacity by more than MEM_TOL; the result is
+    feasible to MEM_TOL, a feasible column comes back unchanged and each
+    buyer loses at most its own overshoot."""
     out = u_col.copy()
     lam = seg.lam[seg.order]
     _, delivered, truncated = greedy_cuts(seg.c_hat, seg.d_hat, seg.order,
                                           np.maximum(out[seg.order], 0.0) / lam,
-                                          0.0, 1.0, tol=0.0)
+                                          0.0, 1.0)
     out[seg.order[truncated]] = delivered[truncated] * lam[truncated]
     return out
 
@@ -402,8 +404,7 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     useg = _discounted_utilities(system, best_point)
     # pure_allocation's strict partition rejects a column still infeasible
     for k, seg in enumerate(system.segments):
-        if not membership(seg, useg[seg.active, k]):
-            useg[:, k] = _clip_to_membership(seg, useg[:, k])
+        useg[:, k] = _clip_to_membership(seg, useg[:, k])
     # the enlarged constraints let every u_ik carry a phantom slop of a few
     # internal epsilons even in segments the buyer does not win; a pure
     # allocation must not hand such buyers slivers of other winners' regions.

@@ -116,7 +116,7 @@ def upper_envelope(instance: MarketInstance, beta) -> PiecewiseLinearFunction:
     high = q[tied] >= top - _TIE_EPS * (1.0 + np.abs(top))
     owner = at[tied] // K
     q[tied[owner != np.minimum.reduceat(np.where(high, owner, n), runs)[run]]] = -np.inf
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         while True:
             m, q, lo, hi, _ = lines
             # fmax/fmin skip the NaN of two equal lines; between segments the

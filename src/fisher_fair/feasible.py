@@ -93,8 +93,7 @@ def normalize_segment(instance: MarketInstance, k: int) -> NormalizedSegment:
                              active=active, order=order)
 
 
-def greedy_cuts(cs, ds, order, targets, lo: float, hi: float,
-                tol: float = MEM_TOL):
+def greedy_cuts(cs, ds, order, targets, lo: float, hi: float):
     """Greedy left-to-right cuts of [lo, hi], one per buyer in ``order``.
 
     Buyer ``order[j]`` (density cs*theta + ds, in whatever coordinates lo and
@@ -103,7 +102,7 @@ def greedy_cuts(cs, ds, order, targets, lo: float, hi: float,
     left to the right of the current point takes all of it and its cut lands
     on ``hi``; cutting exactly the remaining value instead would be
     ill-conditioned where the density vanishes at ``hi``.  Such a target is
-    truncated when it exceeds that value by more than ``tol``.  Returns the
+    truncated when it exceeds that value by more than MEM_TOL.  Returns the
     cut points, the delivered values and the truncated flags, all aligned
     with ``order``.  Negative targets count as zero.  A vector of targets is
     feasible iff none is truncated.
@@ -119,7 +118,7 @@ def greedy_cuts(cs, ds, order, targets, lo: float, hi: float,
             piece = LinearPiece(cs[i], ds[i])
             remaining = eval_interval(piece, Interval(x, hi))
             if target >= remaining:
-                truncated[j] = target > remaining + tol
+                truncated[j] = target > remaining + MEM_TOL
                 target = max(remaining, 0.0)
                 x = hi
             else:

@@ -123,6 +123,8 @@ class BreakpointGrid:
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise ValidationError("grid needs at least the two endpoints 0 and 1")
+        if not np.isfinite(pts).all():
+            raise ValidationError("breakpoints must be finite")
         if abs(pts[0]) > GRID_EPS or abs(pts[-1] - 1.0) > GRID_EPS:
             raise ValidationError(
                 f"grid must start at 0 and end at 1, got [{pts[0]}, {pts[-1]}]")
@@ -188,33 +190,6 @@ class MarketInstance:
         seg = self.grid.locate(theta)
         return self.c[:, seg] * theta[None, :] + self.d[:, seg]
 
-    def interval_values(self, iv: Interval) -> np.ndarray:
-        """(n,) exact utility of every buyer over an interval (may span several
-        segments), summed segment by segment."""
-        total = np.zeros(self.n)
-        if iv.length <= 0.0:
-            return total
-        pts = self.grid.points
-        k0 = int(self.grid.locate(iv.lo))
-        k1 = int(self.grid.locate(np.nextafter(iv.hi, iv.lo)))
-        for k in range(k0, k1 + 1):
-            lo = max(iv.lo, pts[k])
-            hi = min(iv.hi, pts[k + 1])
-            if hi > lo:
-                mid = 0.5 * (lo + hi)
-                total += (hi - lo) * (self.c[:, k] * mid + self.d[:, k])
-        return total
-
-    def to_document(self) -> dict:
-        """Shared-grid JSON document (already-normalized coefficients)."""
-        return {
-            "mode": self.mode,
-            "budgets": self.budgets.tolist(),
-            "breakpoints": self.grid.points.tolist(),
-            "c": self.c.tolist(),
-            "d": self.d.tolist(),
-        }
-
 
 def _validate_arrays(budgets, breakpoints, c, d):
     budgets = np.asarray(budgets, dtype=float)
@@ -231,6 +206,9 @@ def _validate_arrays(budgets, breakpoints, c, d):
     if c.shape != (n, K_in) or d.shape != (n, K_in):
         raise ValidationError(
             f"c and d must be {n}x{K_in} arrays, got {c.shape} and {d.shape}")
+    for name, arr in (("c", c), ("d", d)):
+        if not np.isfinite(arr).all():
+            raise ValidationError(f"{name} must be finite")
     # drop columns of segments removed by dedup
     col_keep = grid.kept[1:]
     c = c[:, col_keep]
@@ -301,11 +279,9 @@ def merge_valuations(valuations):
 
 
 def load_instance(source) -> MarketInstance:
-    """Load an instance from a path, a file object, or an already-parsed dict."""
+    """Load an instance from a path or an already-parsed dict."""
     if isinstance(source, dict):
         doc = source
-    elif hasattr(source, "read"):
-        doc = json.load(source)
     else:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

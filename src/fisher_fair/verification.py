@@ -272,7 +272,10 @@ def discretized_oracle(instance: MarketInstance, m: int) -> OracleResult:
     the discretized market's own duality-gap certificate (checked
     periodically on the implied beta_i = B_i / u_i) drops below
     ORACLE_GAP_TOL, so the returned prices are within
-    sqrt(2 * ORACLE_GAP_TOL / min B) of the discretized optimum.
+    sqrt(2 * ORACLE_GAP_TOL / min B) of the discretized optimum.  A run
+    whose certificate is still above ORACLE_GAP_TOL (or NaN) after
+    ORACLE_MAX_ROUNDS rounds raises NotConverged carrying the last iterate
+    as its ``result`` and that certificate as its ``gap``.
 
     Bids on cells a buyer loses decay geometrically and would otherwise fill
     x with subnormal floats, which make every later round several times
@@ -306,11 +309,15 @@ def discretized_oracle(instance: MarketInstance, m: int) -> OracleResult:
         primal = float(np.dot(B, np.log(u_prog)) - delta.sum())
         return psi - (primal + C)
 
+    def result(u_prog, rounds):
+        beta = B / u_prog
+        if ql:
+            beta = np.clip(beta, None, 1.0)
+        return OracleResult(beta=beta, u=u_prog, rounds=rounds, cells=m)
+
     x = np.full((n, m), 1.0 / n)
     idle = np.full(n, 0.1 * B.min()) if ql else np.zeros(n)
     won = np.empty_like(x)
-    rounds = 0
-    gap = np.inf
     for rounds in range(1, ORACLE_MAX_ROUNDS + 1):
         np.multiply(V, x, out=won)
         u = won.sum(axis=1)
@@ -329,9 +336,6 @@ def discretized_oracle(instance: MarketInstance, m: int) -> OracleResult:
     else:
         raise NotConverged(
             f"proportional response certificate stuck at {gap:.3e} "
-            f"after {ORACLE_MAX_ROUNDS} rounds", result=None, gap=gap)
-    u_prog = (V * x).sum(axis=1) + idle
-    beta = B / u_prog
-    if ql:
-        beta = np.clip(beta, None, 1.0)
-    return OracleResult(beta=beta, u=u_prog, rounds=rounds, cells=m)
+            f"after {ORACLE_MAX_ROUNDS} rounds",
+            result=result(u_prog, ORACLE_MAX_ROUNDS), gap=gap)
+    return result(u_prog, rounds)

@@ -6,7 +6,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fisher_fair import cli, dual_solver, verification
 from fisher_fair.cli import build_parser, main
+from fisher_fair.dual_solver import SolveConfig
+from fisher_fair.errors import NotConverged
+from fisher_fair.sampling import sample_document
 from tests.conftest import example5_document
 
 
@@ -298,6 +302,69 @@ def test_plot_data_result_wrong_types_exit_one(tmp_path, ex5_file, capsys, beta)
     assert main(["plot-data", "--instance", ex5_file, "--result", str(bad),
                  "--out", str(tmp_path / "p.csv")]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_solve_non_finite_breakpoint_exits_one(tmp_path, capsys):
+    # json reads NaN, which the grid dedup would drop with every segment after it
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({"budgets": [1.0, 1.0],
+                                "breakpoints": [0.0, 0.5, float("nan"), 1.0],
+                                "c": [[0.0] * 3] * 2, "d": [[1, 2, 3], [3, 2, 1]]}))
+    out = tmp_path / "res.json"
+    assert main(["solve", "--instance", str(path), "--out", str(out)]) == 1
+    assert "breakpoints must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _capped_solve(monkeypatch):
+    """Make the CLI's dual solve stop after one evaluation; returns the list
+    that collects the NotConverged each call raises."""
+    raised = []
+
+    def capped(instance, config):
+        try:
+            return dual_solver.solve(instance, SolveConfig(max_iter=1,
+                                                           gap_tol=config.gap_tol))
+        except NotConverged as exc:
+            raised.append(exc)
+            raise
+
+    monkeypatch.setattr(cli, "solve", capped)
+    return raised
+
+
+def test_solve_not_converged_exits_two(tmp_path, ex5_file, monkeypatch):
+    raised = _capped_solve(monkeypatch)
+    out = tmp_path / "res.json"
+    assert main(["solve", "--instance", ex5_file, "--out", str(out)]) == 2
+    assert len(raised) == 1
+    doc = json.loads(out.read_text())
+    assert doc["gap"] == raised[0].gap
+    assert doc["iterations"] == 1
+    assert doc["beta"] == raised[0].result.beta.tolist()
+
+
+def test_bench_keeps_not_converged_cells(tmp_path, monkeypatch):
+    raised = _capped_solve(monkeypatch)
+    out = tmp_path / "bench.csv"
+    assert main(["bench", "--grid", "3:2", "--seeds", "1,2",
+                 "--out", str(out)]) == 0
+    assert raised
+    rows = list(csv.reader(open(out)))
+    assert len(rows) == 2
+    assert dict(zip(rows[0], rows[1]))["evals"] == "2"
+
+
+def test_oracle_not_converged_exits_two(tmp_path, monkeypatch, capsys):
+    inst_path = tmp_path / "inst.json"
+    inst_path.write_text(json.dumps(sample_document(3, 2, 5)))
+    monkeypatch.setattr(verification, "ORACLE_MAX_ROUNDS", 64)
+    out = tmp_path / "orc.json"
+    assert main(["oracle", "--instance", str(inst_path), "--out", str(out)]) == 2
+    assert "after 64 rounds" in capsys.readouterr().out
+    doc = json.loads(out.read_text())
+    assert doc["rounds"] == 64 and doc["cells"] == 2000
+    assert len(doc["beta"]) == len(doc["u"]) == 3
 
 
 def test_bench_bad_seeds_exits_one(capsys):

@@ -16,6 +16,7 @@ from fisher_fair import (
     merge_valuations,
 )
 from fisher_fair.errors import UnreachableUtility
+from fisher_fair.verification import _values
 from tests.conftest import example5_document, example6_document
 
 
@@ -142,6 +143,17 @@ def test_load_unsorted_grid_rejected():
         load_instance(doc)
 
 
+@pytest.mark.parametrize("breakpoints, c, d, name", [
+    ([0.0, 0.5, float("nan"), 1.0], [[0.0] * 3] * 2, [[1, 2, 3], [3, 2, 1]],
+     "breakpoints"),
+    ([0.0, 1.0], [[float("nan")], [0.0]], [[1.0], [1.0]], "c"),
+    ([0.0, 1.0], [[0.0], [0.0]], [[float("inf")], [1.0]], "d"),
+], ids=["breakpoints-nan", "c-nan", "d-inf"])
+def test_load_non_finite_array_rejected(breakpoints, c, d, name):
+    with pytest.raises(ValidationError, match=f"^{name} must be finite"):
+        build_instance([1.0, 1.0], breakpoints, c, d)
+
+
 def test_normalization_idempotent():
     doc = example6_document()
     # scale budgets and one valuation arbitrarily; loading must normalize
@@ -149,7 +161,9 @@ def test_normalization_idempotent():
     doc["c"][2] = [v * 3.0 for v in doc["c"][2]]
     doc["d"][2] = [v * 3.0 for v in doc["d"][2]]
     once = load_instance(doc)
-    twice = load_instance(once.to_document())
+    twice = load_instance({"mode": once.mode, "budgets": once.budgets.tolist(),
+                           "breakpoints": once.grid.points.tolist(),
+                           "c": once.c.tolist(), "d": once.d.tolist()})
     assert np.allclose(once.budgets, twice.budgets, atol=1e-14)
     assert np.allclose(once.c, twice.c, atol=1e-12)
     assert np.allclose(once.d, twice.d, atol=1e-12)
@@ -195,9 +209,10 @@ def test_quasilinear_load_scales_jointly():
 
 
 def test_buyer_value_spans_segments(example6):
-    iv = Interval(0.2, 0.9)
+    # one interval [0.2, 0.9] owned by buyer 0: column 0 of <v_i, x_j>
+    values = _values(example6, np.array([0]), np.array([0.2]), np.array([0.9]))
     for i in range(example6.n):
-        direct = example6.interval_values(iv)[i]
+        direct = values[i, 0]
         theta = np.linspace(0.2, 0.9, 200001)
         approx = np.trapezoid(example6.values_at(theta)[i], theta)
         # trapezoid carries O(h) error at the density jumps between segments

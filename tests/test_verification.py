@@ -221,6 +221,21 @@ def _reference_kkt(instance, allocation, beta, tol=1e-6, delta=None):
                      ql_delta_residuals=np.abs(delta * (1.0 - beta)), tol=tol)
 
 
+def _reference_interval_values(instance, iv):
+    """(n,) value of every buyer over one interval, summed segment by segment."""
+    total = np.zeros(instance.n)
+    pts = instance.grid.points
+    k0 = int(instance.grid.locate(iv.lo))
+    k1 = int(instance.grid.locate(np.nextafter(iv.hi, iv.lo)))
+    for k in range(k0, k1 + 1):
+        lo = max(iv.lo, pts[k])
+        hi = min(iv.hi, pts[k + 1])
+        if hi > lo:
+            mid = 0.5 * (lo + hi)
+            total += (hi - lo) * (instance.c[:, k] * mid + instance.d[:, k])
+    return total
+
+
 def _reference_fairness(instance, allocation, tol=1e-6):
     _reference_validate(allocation)
     n, B = instance.n, instance.budgets
@@ -229,7 +244,7 @@ def _reference_fairness(instance, allocation, tol=1e-6):
         for iv in allocation.intervals[j]:
             if iv.length <= 0:
                 continue
-            vals[:, j] += instance.interval_values(iv)
+            vals[:, j] += _reference_interval_values(instance, iv)
     u = np.diag(vals).copy()
     per_budget = vals / B[None, :]
     envy = per_budget - np.diag(per_budget)[:, None]

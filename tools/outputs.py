@@ -22,8 +22,10 @@ document it records:
 on crowded documents ``sda``: ``allocation_from_beta`` at the average of an
 SDA run of the benchmark's length and seed; and on crosscheck documents
 ``ellipsoid``: ``ellipsoid_solve(inst, 1e-4, collect_log=True)``, log
-included.  Every result carries the ``to_json()`` of ``check_equilibrium``
-and ``fairness`` on its allocation.  Floats are stored by their shortest
+included, and ``oracle``: beta, u, rounds and cells of
+``discretized_oracle`` at the benchmark's cell count, or its ``NotConverged``
+message.  Every solve, sda and ellipsoid record carries the ``to_json()`` of
+``check_equilibrium`` and ``fairness`` on its allocation.  Floats are stored by their shortest
 round-trip repr, so two recordings agree field for field exactly when the
 outputs are bit-identical.
 
@@ -135,6 +137,12 @@ def _records(lib, wl, workload, seed, tmp):
             fields = _checked(lib, wl, inst, res)
             fields["log"] = [list(entry) for entry in res.log]
             yield "ellipsoid", key, fields
+            try:
+                fields = lib.verification.discretized_oracle(
+                    inst, wl.ORACLE_CELLS).to_json()
+            except lib.errors.NotConverged as exc:
+                fields = {"not_converged": str(exc)}
+            yield "oracle", key, fields
 
 
 def record(root, out_path, seeds):
