@@ -25,12 +25,9 @@ from .envelope import (
     PiecewiseLinearFunction,
     beta_bounds,
     certify_envelope,
-    dual_objective,
     dual_subgradient,
     plot_data,
     upper_envelope,
-    winning_utilities,
-    winning_utility_matrix,
 )
 from .feasible import (
     ConicProgram,

@@ -3,10 +3,11 @@
 Subcommands: solve (``--mode dual`` or ``sda``), verify, emit-conic, sda,
 ellipsoid (the only path to the ellipsoid solver, with an optional ``--log``
 CSV), oracle, sample-instance, plot-data, bench.  Exit codes: 0 success
-(certified where applicable), 1 input or validation error, including result
-files that lack a required key or hold a value of the wrong type or shape,
-malformed ``bench`` arguments and usage errors, 2 solver
-finished without a certificate (the best iterate is still written).
+(certified where applicable), 1 input or validation error, including paths
+that cannot be opened, result files that lack a required key or hold a value
+of the wrong type or shape (the error names the file), malformed ``bench``
+arguments and usage errors, 2 solver finished without a certificate (the best
+iterate is still written).
 ``bench`` times each (n, k, seed) cell as the fastest of three build+solve
 runs, one cell at a time so that cells do not compete for cores, and appends
 the evaluation and envelope-piece counts of those runs summed over the seeds.
@@ -15,6 +16,7 @@ the evaluation and envelope-piece counts of those runs summed over the seeds.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -32,7 +34,7 @@ from .dual_solver import (
 )
 from .ellipsoid import ellipsoid_solve
 from .envelope import plot_data
-from .errors import FisherFairError, NotConverged, ValidationError
+from .errors import DomainError, FisherFairError, NotConverged, ValidationError
 from .feasible import emit_conic_program
 from .market import load_instance
 from .sampling import sample_document
@@ -80,6 +82,19 @@ def _read_result(path, keys, parse):
         raise ValidationError(f"result file {path} is malformed: {exc}") from exc
 
 
+@contextlib.contextmanager
+def _result_values(path):
+    """Re-raise the library's rejection of a value read from result file
+    ``path`` as a ValidationError naming the file; without a file (``path``
+    None) the error passes unchanged."""
+    try:
+        yield
+    except (ValidationError, DomainError) as exc:
+        if path is None:
+            raise
+        raise ValidationError(f"result file {path}: {exc}") from exc
+
+
 def _read_beta(path):
     return _read_result(path, ("beta",),
                         lambda doc: np.asarray(doc["beta"], dtype=float))
@@ -111,9 +126,10 @@ def _cmd_verify(args):
     instance = load_instance(args.instance)
     result = _read_result(args.result, ("beta", "u", "u_segments", "intervals"),
                           EquilibriumResult.from_json)
-    report = check_equilibrium(instance, result.allocation, result.beta,
-                               tol=args.tol, delta=result.delta)
-    fair = fairness(instance, result.allocation, tol=args.tol)
+    with _result_values(args.result):
+        report = check_equilibrium(instance, result.allocation, result.beta,
+                                   tol=args.tol, delta=result.delta)
+        fair = fairness(instance, result.allocation, tol=args.tol)
     out = {"kkt": report.to_json(), "fairness": fair.to_json()}
     _write_json(out, args.out)
     ok = report.passed and fair.passed
@@ -138,7 +154,8 @@ def _cmd_sda(args):
     beta_ref = None
     if args.ref:
         beta_ref = _read_beta(args.ref)
-    trace = sda_mod.sda_run(instance, args.iters, args.seed, beta_ref=beta_ref)
+    with _result_values(args.ref):
+        trace = sda_mod.sda_run(instance, args.iters, args.seed, beta_ref=beta_ref)
     header, rows = trace.csv_rows()
     _write_csv(args.out, header, rows)
     print(f"trace with {len(rows)} checkpoints written")
@@ -181,7 +198,8 @@ def _cmd_sample(args):
 def _cmd_plot_data(args):
     instance = load_instance(args.instance)
     beta = _read_beta(args.result)
-    header, rows = plot_data(instance, beta, num_points=args.points)
+    with _result_values(args.result):
+        header, rows = plot_data(instance, beta, num_points=args.points)
     _write_csv(args.out, header, [list(row) for row in rows])
     return 0
 
@@ -334,7 +352,7 @@ def main(argv=None):
     except FisherFairError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except json.JSONDecodeError as exc:

@@ -21,7 +21,7 @@ The objective f(y) = -sum_i B_i log u_i is minimized by deep cuts:
 
 * separation oracle: most-violated linear row, else the tangent hyperplane
   with normal (2 s0, -1) at a violated parabola pair, else "inside";
-* first-order oracle: the gradient E_u' (-B / u), where E_u maps y to u.
+* first-order oracle: f(y) and its gradient E_u' (-B / u) from one u = E_u y.
 
 Each cut keeps only the half-space its constraint implies, so it reaches past
 the center by the violation depth (Bland, Goldfarb & Todd 1981): the row
@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .envelope import beta_bounds, dual_subgradient, winning_utility_matrix
+from .envelope import beta_bounds, dual_subgradient
 from .errors import NumericalBreakdown, ValidationError
 # cut, membership and partition_segment are unused here; perfbench/spans.py
 # patches the names ellipsoid.cut, ellipsoid.membership and
@@ -102,9 +102,6 @@ class PerturbedSystem:
         return {"u": useg.sum(axis=1), "useg": useg, "uhat": uhat.copy(),
                 "s": s.copy(), "t": t.copy(),
                 "z": G[:, 0] * s + G[:, 1] * t, "w": G[:, 2] * s + G[:, 3] * t}
-
-    def objective(self, y) -> float:
-        return float(-np.dot(self.instance.budgets, np.log(self.u_map @ y)))
 
 
 def build_perturbed_system(instance: MarketInstance,
@@ -203,17 +200,16 @@ def feasible_start(system: PerturbedSystem) -> np.ndarray:
 def separation_oracle(system: PerturbedSystem, y):
     """None when y satisfies every constraint; otherwise (normal, kind, depth).
 
-    Linear rows return their coefficient row and residual; a violated
-    parabola pair (s0, t0) with s0^2 > t0 returns the tangent-line normal,
-    +2 s0 on the s coordinate and -1 on the t coordinate, and the violation
-    of the tangent 2 s0 s - t <= s0^2 it keeps.
+    The most-violated linear row returns a view of its row of ``A`` and the
+    residual the scan computed; else the first violated parabola pair (s0, t0)
+    returns the tangent-line normal, +2 s0 on the s coordinate and -1 on the
+    t coordinate, and the violation s0^2 - t0 of the tangent 2 s0 s - t <= s0^2.
     """
     res = system.A @ y
     res -= system.b
     worst = int(res.argmax())
     if res[worst] > 0.0:
-        g = system.A[worst].copy()
-        return g, "linear", float(g @ y) - system.b[worst]
+        return system.A[worst], "linear", float(res[worst])
     s, t = y[system.s_block], y[system.t_block]
     viol = s * s > t
     if viol.any():
@@ -221,14 +217,16 @@ def separation_oracle(system: PerturbedSystem, y):
         g = np.zeros(system.dim)
         g[system.s_block.start + p] = 2.0 * s[p]
         g[system.t_block.start + p] = -1.0
-        # s0^2 as (g.max() / 2)^2 through pow: s0 * s0 rounds differently
-        return g, "quadratic", float(g @ y) - 0.25 * float(g.max()) ** 2
+        return g, "quadratic", float(s[p] * s[p] - t[p])
     return None
 
 
-def first_order_oracle(system: PerturbedSystem, y) -> np.ndarray:
-    """Gradient of -sum_i B_i log u_i in y: E_u' (-B / u), E_u = ``u_map``."""
-    return (-system.instance.budgets / (system.u_map @ y)) @ system.u_map
+def first_order_oracle(system: PerturbedSystem, y):
+    """(f(y), E_u' (-B / u)): the value and gradient of -sum_i B_i log u_i
+    in y, from one u = E_u y, E_u = ``u_map``."""
+    B = system.instance.budgets
+    u = system.u_map @ y
+    return float(-np.dot(B, np.log(u))), (-B / u) @ system.u_map
 
 
 @dataclass(kw_only=True)
@@ -347,11 +345,10 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
         feasible = sep is None
         fval = None
         if feasible:
-            fval = system.objective(c)
+            fval, g = first_order_oracle(system, c)
             if fval < best_objective:
                 best_objective = fval
                 best_point = c.copy()
-            g = first_order_oracle(system, c)
             kind = "objective"
             # f(x) >= f(c) + g'(x - c): keeping {f <= f_best} cuts this deep
             depth = fval - best_objective
@@ -413,7 +410,7 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     u_rough = useg.sum(axis=1)
     if np.all(u_rough > 0):
         beta_rough = np.clip(B / u_rough, *bounds)
-        wmat = winning_utility_matrix(instance, beta_rough)
+        wmat = dual_subgradient(instance, beta_rough)[2]
         useg[(wmat <= 1e-12) & (useg <= _SLOP * eps_internal)] = 0.0
     allocation, useg = pure_allocation(instance, useg)
     u = useg.sum(axis=1)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, ValidationError
 from .market import MarketInstance
 
 ENV_TOL = 1e-9      # owner certification tolerance (dominance slack)
@@ -168,26 +168,11 @@ def _winning_matrix(instance: MarketInstance,
     return np.bincount(i * K + k, weights=w, minlength=n * K).reshape(n, K)
 
 
-def winning_utility_matrix(instance: MarketInstance, beta) -> np.ndarray:
-    """(n, K) matrix: buyer i's unscaled value over its winning set in segment k."""
-    return _winning_matrix(instance, upper_envelope(instance, beta))
-
-
-def winning_utilities(instance: MarketInstance, beta) -> np.ndarray:
-    """Per-buyer value of its winning set; the envelope term of the subgradient."""
-    return winning_utility_matrix(instance, beta).sum(axis=1)
-
-
-def dual_objective(instance: MarketInstance, beta) -> float:
-    """psi(beta) = integral of the envelope minus sum_i B_i log beta_i."""
-    return dual_subgradient(instance, beta)[0]
-
-
 def dual_subgradient(instance: MarketInstance, beta):
-    """One envelope pass returning (psi(beta), subgradient, winning matrix).
+    """One envelope pass: (psi(beta), subgradient, winning matrix, envelope).
 
-    The subgradient is g_i = winning_utilities_i - B_i / beta_i with the
-    smallest-index tie rule baked into the envelope owners.
+    The subgradient is g_i = (winning utility of buyer i) - B_i / beta_i
+    with the smallest-index tie rule baked into the envelope owners.
     """
     beta = np.asarray(beta, dtype=float)
     env = upper_envelope(instance, beta)
@@ -204,6 +189,8 @@ def plot_data(instance: MarketInstance, beta, num_points: int = 1000):
     Samples a uniform grid and additionally every envelope piece endpoint so
     discontinuities across valuation breakpoints render faithfully.
     """
+    if num_points < 0:
+        raise ValidationError(f"num_points must be >= 0, got {num_points}")
     beta = np.asarray(beta, dtype=float)
     env = upper_envelope(instance, beta)
     theta = np.union1d(np.linspace(0.0, 1.0, num_points), env.breakpoints)

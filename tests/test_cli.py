@@ -304,6 +304,61 @@ def test_plot_data_result_wrong_types_exit_one(tmp_path, ex5_file, capsys, beta)
     assert "error:" in capsys.readouterr().err
 
 
+def _three_buyer_result(tmp_path):
+    """(instance path, solved result document) of a 3-buyer instance."""
+    inst = tmp_path / "three.json"
+    inst.write_text(json.dumps(sample_document(3, 2, 5)))
+    res = tmp_path / "res.json"
+    assert main(["solve", "--instance", str(inst), "--out", str(res)]) == 0
+    return str(inst), json.loads(res.read_text())
+
+
+# values the result-file parser accepts and the library rejects
+LIBRARY_REJECTS = {
+    "verify-beta-length": ("verify", {"beta": [0.5, 0.5]}),
+    "verify-delta-length": ("verify", {"delta": [0.1]}),
+    "verify-intervals-count": ("verify", {"intervals": [[], []]}),
+    "plot-data-beta-length": ("plot-data", {"beta": [0.5, 0.5]}),
+    "sda-beta-length": ("sda", {"beta": [0.5, 0.5]}),
+}
+
+
+@pytest.mark.parametrize("command, change", list(LIBRARY_REJECTS.values()),
+                         ids=list(LIBRARY_REJECTS))
+def test_result_value_rejected_names_file(tmp_path, capsys, command, change):
+    inst, doc = _three_buyer_result(tmp_path)
+    bad = tmp_path / "bad_values.json"
+    bad.write_text(json.dumps({**doc, **change}))
+    flag = "--ref" if command == "sda" else "--result"
+    argv = [command, "--instance", inst, flag, str(bad),
+            "--out", str(tmp_path / "out.txt")]
+    if command == "sda":
+        argv += ["--iters", "10"]
+    capsys.readouterr()
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: result file {bad}: ")
+
+
+@pytest.mark.parametrize("flag", ["--instance", "--out"])
+def test_solve_directory_path_exits_one(tmp_path, ex5_file, capsys, flag):
+    argv = {"--instance": ex5_file, "--out": str(tmp_path / "res.json")}
+    argv[flag] = str(tmp_path)
+    assert main(["solve", *[v for pair in argv.items() for v in pair]]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_plot_data_negative_points_exits_one(tmp_path, ex5_file, capsys):
+    res = tmp_path / "res.json"
+    main(["solve", "--instance", ex5_file, "--out", str(res)])
+    plot = tmp_path / "plot.csv"
+    assert main(["plot-data", "--instance", ex5_file, "--result", str(res),
+                 "--points", "-1", "--out", str(plot)]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert main(["plot-data", "--instance", ex5_file, "--result", str(res),
+                 "--points", "0", "--out", str(plot)]) == 0
+
+
 def test_solve_non_finite_breakpoint_exits_one(tmp_path, capsys):
     # json reads NaN, which the grid dedup would drop with every segment after it
     path = tmp_path / "nan.json"

@@ -84,8 +84,56 @@ def test_separation_linear_row(example5):
     assert kind == "linear"
     assert np.array_equal(g, -system.u_map[0])
     assert np.allclose(g, system.A[row])
-    assert depth == float(system.A[row] @ y) - system.b[row]
+    assert depth == (system.A @ y - system.b)[row]
     assert depth == pytest.approx(5.0 - system.b[row])
+
+
+def test_separation_linear_depth_is_row_residual(random_instance):
+    # at random points outside the region the depth of a linear cut is the
+    # residual of the most-violated row, bit for bit, and the normal its row
+    inst = random_instance(3, 2, seed=11)
+    system = build_perturbed_system(inst, 1e-5)
+    rng = np.random.default_rng(4)
+    y0 = feasible_start(system)
+    seen = 0
+    for _ in range(50):
+        y = y0 + rng.normal(0.0, 0.3, system.dim)
+        result = separation_oracle(system, y)
+        if result is None or result[1] != "linear":
+            continue
+        g, _, depth = result
+        res = system.A @ y - system.b
+        row = int(res.argmax())
+        assert depth == res[row] > 0.0
+        assert np.array_equal(g, system.A[row])
+        seen += 1
+    assert seen > 0
+
+
+def test_separation_parabola_depth_first_violated_pair(random_instance):
+    # every linear row holds; several parabola pairs are violated, and the
+    # cut is at the first of them with depth s0 * s0 - t0 exactly
+    inst = random_instance(3, 2, seed=11)
+    system = build_perturbed_system(inst, 1e-4)
+    y = feasible_start(system)
+    assert len(system.pairs) >= 3
+    s_idx = np.arange(system.s_block.start, system.s_block.stop)
+    t_idx = np.arange(system.t_block.start, system.t_block.stop)
+    # the start has t = s^2 + eps_internal / 4; moving t just below s^2 on
+    # the pairs after the first moves (z, w) too little to break a linear
+    # row, and the later pairs are violated more
+    first = 1
+    below = 1e-9 * np.arange(1, len(system.pairs) - first + 1)
+    y[t_idx[first:]] = y[s_idx[first:]] ** 2 - below
+    assert np.all(system.A @ y - system.b <= 0.0)
+    result = separation_oracle(system, y)
+    assert result is not None
+    g, kind, depth = result
+    assert kind == "quadratic"
+    s0, t0 = y[s_idx[first]], y[t_idx[first]]
+    assert depth == s0 * s0 - t0
+    assert g[s_idx[first]] == 2.0 * s0 and g[t_idx[first]] == -1.0
+    assert np.count_nonzero(g) == 2
 
 
 def test_first_order_oracle_values():
@@ -96,12 +144,13 @@ def test_first_order_oracle_values():
     y = feasible_start(system)
     y[cols] = [0.5, 0.5]          # lam = 1, so u = uhat
     assert np.allclose(system.expand(y)["u"], [0.5, 0.5])
-    g = first_order_oracle(system, y)
+    f, g = first_order_oracle(system, y)
+    assert f == -float(np.dot(inst.budgets, np.log([0.5, 0.5])))
     assert np.allclose(g[cols], [-1.0, -1.0])
     assert np.all(np.delete(g, cols) == 0.0)
     # at the lower bound u_i = B_i the component is exactly -1
     y[cols] = inst.budgets
-    g = first_order_oracle(system, y)
+    _, g = first_order_oracle(system, y)
     assert np.allclose(g[cols], [-1.0, -1.0])
 
 
@@ -113,7 +162,8 @@ def test_first_order_oracle_finite_differences(random_instance):
     rng = np.random.default_rng(3)
     y = feasible_start(system)
     y[:system.num_slots] = rng.uniform(0.2, 0.9, system.num_slots)
-    g = first_order_oracle(system, y)
+    f, g = first_order_oracle(system, y)
+    assert f == -float(np.dot(inst.budgets, np.log(system.u_map @ y)))
     # chain rule: d f / d uhat_kj = lam_ik * (-B_i / u_i), zero on (s, t)
     u = system.expand(y)["u"]
     chain = np.zeros(system.dim)
@@ -124,7 +174,8 @@ def test_first_order_oracle_finite_differences(random_instance):
     for idx in range(system.dim):
         yp = y.copy(); yp[idx] += h
         ym = y.copy(); ym[idx] -= h
-        fd = (system.objective(yp) - system.objective(ym)) / (2 * h)
+        fd = (first_order_oracle(system, yp)[0]
+              - first_order_oracle(system, ym)[0]) / (2 * h)
         assert g[idx] == pytest.approx(fd, rel=1e-6)
 
 
@@ -190,7 +241,7 @@ def test_objective_bounded_at_feasible_points(example5):
     bound = np.log(kappa) + np.log(2.0 / system.eps_internal)
     rng = np.random.default_rng(5)
     y = feasible_start(system)
-    assert system.objective(y) <= bound
+    assert first_order_oracle(system, y)[0] <= bound
     inside = 0
     for _ in range(20):
         z = y.copy()
@@ -200,7 +251,7 @@ def test_objective_bounded_at_feasible_points(example5):
                                             system.num_slots)
         if separation_oracle(system, z) is None:
             inside += 1
-            assert system.objective(z) <= bound
+            assert first_order_oracle(system, z)[0] <= bound
     assert inside > 0
 
 

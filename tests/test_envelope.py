@@ -7,14 +7,12 @@ from fisher_fair import (
     DomainError,
     NotConverged,
     SolveConfig,
+    ValidationError,
     build_instance,
-    dual_objective,
     dual_subgradient,
     load_instance,
     solve,
     upper_envelope,
-    winning_utilities,
-    winning_utility_matrix,
 )
 from fisher_fair.envelope import (
     PiecewiseLinearFunction,
@@ -172,19 +170,19 @@ def test_integral_example5_weighted_utilities(example5):
 
 
 def test_winning_utilities_example5(example5):
-    u = winning_utilities(example5, EX5_BETA)
+    u = dual_subgradient(example5, EX5_BETA)[2].sum(axis=1)
     assert np.allclose(u, EX5_U, atol=1e-3)
 
 
 def test_winning_utilities_single_buyer():
     inst = build_instance([1.0], [0, 1], [[1.0]], [[0.5]])
-    assert winning_utilities(inst, np.array([0.4]))[0] == pytest.approx(1.0)
+    assert dual_subgradient(inst, np.array([0.4]))[2].sum(axis=1)[0] == pytest.approx(1.0)
 
 
 def test_winning_utilities_dominated_buyer(example5):
     beta = EX5_BETA.copy()
     beta[0] = 1e-6
-    u = winning_utilities(example5, beta)
+    u = dual_subgradient(example5, beta)[2].sum(axis=1)
     assert u[0] == 0.0
     # cross-check by dense sampling: buyer 0 never attains the max
     theta = np.linspace(0, 1, 10001)
@@ -196,16 +194,16 @@ def test_dual_objective_example5_matches_shifted_primal(example5):
     from fisher_fair.dual_solver import duality_constant
     res = solve(example5)
     z = float(np.dot(example5.budgets, np.log(res.u)))
-    psi = dual_objective(example5, res.beta)
+    psi = dual_subgradient(example5, res.beta)[0]
     assert psi == pytest.approx(z + duality_constant(example5), abs=1e-9)
 
 
 def test_dual_objective_single_buyer_closed_form():
     inst = build_instance([1.0], [0, 1], [[0.0]], [[1.0]])
     for beta in (0.3, 0.7, 1.0, 1.8):
-        assert dual_objective(inst, np.array([beta])) == pytest.approx(
+        assert dual_subgradient(inst, np.array([beta]))[0] == pytest.approx(
             beta - np.log(beta), abs=1e-12)
-    values = [dual_objective(inst, np.array([b]))
+    values = [dual_subgradient(inst, np.array([b]))[0]
               for b in (0.9, 0.95, 1.0, 1.05, 1.1)]
     assert min(values) == values[2]
 
@@ -218,12 +216,12 @@ def test_dual_objective_against_riemann_sum(random_instance):
     theta = (np.arange(1_000_000) + 0.5) / 1_000_000
     riemann = float(np.max(beta[:, None] * inst.values_at(theta), axis=0).mean())
     expected = riemann - float(np.dot(inst.budgets, np.log(beta)))
-    assert dual_objective(inst, beta) == pytest.approx(expected, abs=1e-5)
+    assert dual_subgradient(inst, beta)[0] == pytest.approx(expected, abs=1e-5)
 
 
 def test_dual_objective_rejects_nonpositive(example5):
     with pytest.raises(DomainError):
-        dual_objective(example5, np.zeros(4))
+        dual_subgradient(example5, np.zeros(4))[0]
 
 
 def test_subgradient_inequality(random_instance):
@@ -234,7 +232,7 @@ def test_subgradient_inequality(random_instance):
         b1 = rng.uniform(lo, hi)
         b2 = rng.uniform(lo, hi)
         psi1, g1, _, _ = dual_subgradient(inst, b1)
-        psi2 = dual_objective(inst, b2)
+        psi2 = dual_subgradient(inst, b2)[0]
         assert psi2 >= psi1 + float(g1 @ (b2 - b1)) - 1e-9
 
 
@@ -266,6 +264,14 @@ def test_plot_data_includes_envelope_breakpoints(example5):
         assert np.any(np.isclose(theta, b, atol=1e-12))
     # p_star column equals the per-row max of the scaled valuation columns
     assert np.allclose(rows[:, 1], rows[:, 2:].max(axis=1), atol=1e-10)
+
+
+def test_plot_data_rejects_negative_points(example5):
+    with pytest.raises(ValidationError):
+        plot_data(example5, EX5_BETA, num_points=-1)
+    header, rows = plot_data(example5, EX5_BETA, num_points=0)
+    env = upper_envelope(example5, EX5_BETA)
+    assert np.array_equal(rows[:, 0], env.breakpoints)
 
 
 @st.composite
@@ -310,8 +316,7 @@ def test_batched_envelope_properties(case):
     direct = np.max(beta[:, None] * inst.values_at(theta), axis=0)
     assert np.abs(env(theta) - direct).max() <= 1e-10
     assert certify_envelope(inst, beta, env)
-    U = winning_utility_matrix(inst, beta)
-    assert np.array_equal(U.sum(axis=1), winning_utilities(inst, beta))
+    U = dual_subgradient(inst, beta)[2]
     # price mass per segment, exactly from the pieces (each lies in one segment)
     b = env.breakpoints
     mid = 0.5 * (b[:-1] + b[1:])

@@ -33,9 +33,12 @@ outputs are bit-identical.
 every record and field that differs or exists on one side only, with the
 field's largest absolute difference; then, for every field that differs
 anywhere, the number of records it differs in and its largest absolute
-difference over them.  It exits 1 when anything differs, so status 0 means
-bit-identical.  Run each side from its own checkout with one BLAS
-thread (the script sets ``OPENBLAS_NUM_THREADS=1`` before importing numpy).
+difference over them; then every record in which a boolean verdict
+(``certified``, ``kkt.pass``, ``fairness.pass``, ``fairness.ceei``) changed,
+and the number of such verdict flips.  It exits 1 when anything differs, so
+status 0 means bit-identical.  Run each side from its own checkout with one
+BLAS thread (the script sets ``OPENBLAS_NUM_THREADS=1`` before importing
+numpy).
 """
 
 import os
@@ -188,6 +191,16 @@ def _max_diff(x, y):
     return None if None in parts else max(parts, default=0.0)
 
 
+def _flags(value, path=""):
+    """Every boolean in a JSON value, by its dotted path."""
+    if isinstance(value, bool):
+        return {path: value}
+    if isinstance(value, dict):
+        return {flag: v for name, x in value.items()
+                for flag, v in _flags(x, f"{path}.{name}" if path else name).items()}
+    return {}
+
+
 def _describe(diff):
     return "not numeric" if diff is None else f"max |diff| {diff:.3g}"
 
@@ -196,6 +209,7 @@ def compare(path_a, path_b):
     a, b = _load(path_a), _load(path_b)
     same, differ = Counter(), 0
     fields = {}                       # (kind, field) -> [records, largest diff]
+    flips = []                        # (kind, key, changed verdicts)
     for kind, key in sorted(a.keys() | b.keys()):
         if (kind, key) not in a or (kind, key) not in b:
             side = path_b if (kind, key) in b else path_a
@@ -210,6 +224,12 @@ def compare(path_a, path_b):
             print(f"{kind} {key}: differs in "
                   + ", ".join(f"{name} ({_describe(d)})" for name, d in bad.items()))
             differ += 1
+            ga, gb = _flags(fa), _flags(fb)
+            changed = [f"{flag} {ga.get(flag)} -> {gb.get(flag)}"
+                       for flag in sorted(ga.keys() | gb.keys())
+                       if ga.get(flag) != gb.get(flag)]
+            if changed:
+                flips.append((kind, key, changed))
             for name, d in bad.items():
                 slot = fields.setdefault((kind, name), [0, 0.0])
                 slot[0] += 1
@@ -219,6 +239,9 @@ def compare(path_a, path_b):
     print("identical:", ", ".join(f"{n} {kind}" for kind, n in sorted(same.items())))
     for (kind, name), (records, d) in sorted(fields.items()):
         print(f"{kind} {name}: differs in {records} records, {_describe(d)}")
+    for kind, key, changed in flips:
+        print(f"verdict flip {kind} {key}: " + ", ".join(changed))
+    print(f"verdict flips: {len(flips)}")
     print(f"differing: {differ}")
     return 1 if differ else 0
 
