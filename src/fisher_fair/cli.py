@@ -34,7 +34,8 @@ from .dual_solver import (
 )
 from .ellipsoid import ellipsoid_solve
 from .envelope import plot_data
-from .errors import DomainError, FisherFairError, NotConverged, ValidationError
+from .errors import (DomainError, FisherFairError, NotConverged, ValidationError,
+                     check_count)
 from .feasible import emit_conic_program
 from .market import load_instance
 from .sampling import sample_document
@@ -86,7 +87,8 @@ def _read_result(path, keys, parse):
 def _result_values(path):
     """Re-raise the library's rejection of a value read from result file
     ``path`` as a ValidationError naming the file; without a file (``path``
-    None) the error passes unchanged."""
+    None) the error passes unchanged.  A command checks its own options
+    before it enters this, so their errors never name the file."""
     try:
         yield
     except (ValidationError, DomainError) as exc:
@@ -151,6 +153,7 @@ def _cmd_emit_conic(args):
 
 def _cmd_sda(args):
     instance = load_instance(args.instance)
+    check_count("--iters", args.iters, 1)       # outside the file-value wrap
     beta_ref = None
     if args.ref:
         beta_ref = _read_beta(args.ref)
@@ -197,6 +200,7 @@ def _cmd_sample(args):
 
 def _cmd_plot_data(args):
     instance = load_instance(args.instance)
+    check_count("--points", args.points, 0)     # outside the file-value wrap
     beta = _read_beta(args.result)
     with _result_values(args.result):
         header, rows = plot_data(instance, beta, num_points=args.points)

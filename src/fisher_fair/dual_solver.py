@@ -16,7 +16,9 @@ The run has two phases:
 1. an entropic-smoothing warm start (Nesterov 2005): each grid segment is
    split into equal cells, the max on each cell is replaced by
    mu log sum_i exp(beta_i v_i(midpoint) / mu), and projected Newton
-   minimizes that smooth dual over the box for a falling sequence of mu;
+   minimizes that smooth dual over the box for a falling sequence of mu,
+   which stops early when there are at most two buyers per segment (n <= 2K),
+   since there its lower levels cost more than the exact evaluations they save;
    it costs no exact envelope evaluation.  The cell densities are built once
    per solve, and each evaluation of the smooth dual is one pass over all
    cells, with exponents clamped where their weight is far below roundoff so
@@ -75,6 +77,11 @@ _TIE_TOL = 1e-9           # relative slack when grouping tied scaled lines
 _CELLS_MIN = 8
 _CELLS_TOTAL = 320
 _SMOOTH_MUS = tuple(3e-2 * 0.5 ** i for i in range(9))
+# with at most 2 buyers per segment (n <= 2K) the start stops after the first
+# _FEW_BUYERS_LEVELS levels, at mu = 3.75e-3: there the lower levels save the
+# exact phase under a tenth of its evaluations but make the solve about 1.3
+# times as slow (n = K); with more buyers per segment they save far more
+_FEW_BUYERS_LEVELS = 4
 _SMOOTH_ITERS = 30
 _SMOOTH_DECREMENT = 1e-2
 _EXP_FLOOR = -60.0
@@ -424,13 +431,19 @@ def _smoothed_start(instance, cells):
     """Warm start for the exact Newton phase: the minimizer of the smoothed
     dual over the box, by projected Newton with Armijo backtracking, for each
     mu in _SMOOTH_MUS in turn, each level starting from the last one's point
-    and the first from equal utility prices."""
+    and the first from equal utility prices.  With at most two buyers per
+    segment (n <= 2K) only the first _FEW_BUYERS_LEVELS levels run: the
+    levels below mu = 3.75e-3 cost more time there than the few exact
+    evaluations they save, while with more buyers per segment they save
+    many."""
     lo, hi = beta_bounds(instance)
+    mus = (_SMOOTH_MUS[:_FEW_BUYERS_LEVELS]
+           if instance.n <= 2 * instance.num_segments else _SMOOTH_MUS)
     # equal utility prices that make the price mass equal the money
     w, V = cells
     mass = float(np.dot(w, V.max(axis=0)))
     beta = np.clip(instance.budgets.sum() / mass, lo, hi)
-    for mu in _SMOOTH_MUS:
+    for mu in mus:
         f, g, H = _smoothed_dual(instance, cells, beta, mu)
         for _ in range(_SMOOTH_ITERS):
             step = _free_newton_step(H, g, beta, lo, hi)

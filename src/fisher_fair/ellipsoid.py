@@ -210,15 +210,17 @@ def separation_oracle(system: PerturbedSystem, y):
     worst = int(res.argmax())
     if res[worst] > 0.0:
         return system.A[worst], "linear", float(res[worst])
+    if not system.pairs:
+        return None
     s, t = y[system.s_block], y[system.t_block]
     viol = s * s > t
-    if viol.any():
-        p = int(viol.argmax())
-        g = np.zeros(system.dim)
-        g[system.s_block.start + p] = 2.0 * s[p]
-        g[system.t_block.start + p] = -1.0
-        return g, "quadratic", float(s[p] * s[p] - t[p])
-    return None
+    p = int(viol.argmax())
+    if not viol[p]:
+        return None
+    g = np.zeros(system.dim)
+    g[system.s_block.start + p] = 2.0 * s[p]
+    g[system.t_block.start + p] = -1.0
+    return g, "quadratic", float(s[p] * s[p] - t[p])
 
 
 def first_order_oracle(system: PerturbedSystem, y):
@@ -329,7 +331,7 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
                  * math.log(2.0 + V * radius / (eps_internal * r_ball)))
     log = []
     restarted = False
-    logdet_half = d * math.log(radius)
+    logdet_half = d * math.log(radius)    # the log's volume proxy, updated only for it
     # the shape matrix is scale * (Q - W'W): every step's scalar factor
     # d^2 (1 - alpha^2) / (d^2 - 1) goes into scale (at most d^2 / (d^2 - 1),
     # so within the call budget it stays far from overflow), its rank-one
@@ -337,6 +339,10 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     # symmetric matrix product
     Q = np.eye(d)
     W = np.empty((_FOLD, d))
+    Wg = np.empty(_FOLD)
+    prefixes = [(W[:r], Wg[:r]) for r in range(_FOLD)]   # views for each rank
+    Qg = np.empty(d)
+    step = np.empty(d)
     rank = 0
     scale = radius * radius
     while iteration < budget:
@@ -354,10 +360,10 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
             depth = fval - best_objective
         else:
             g, kind, depth = sep
-        Qg = Q @ g
+        np.matmul(Q, g, out=Qg)
         if rank:
-            Wr = W[:rank]
-            Qg -= (Wr @ g) @ Wr
+            Wr, Wrg = prefixes[rank]
+            Qg -= np.matmul(np.matmul(Wr, g, out=Wrg), Wr, out=step)
         gQg = float(g @ Qg)
         if not (math.isfinite(gQg) and gQg > 0.0):
             if restarted:
@@ -377,12 +383,14 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
                 break
         alpha = min(depth / denom, _MAX_DEPTH)
         tau = 2.0 * (1.0 + d * alpha) / ((d + 1) * (1.0 + alpha))
-        c -= ((1.0 + d * alpha) / (d + 1)) * math.sqrt(scale / gQg) * Qg
+        c -= np.multiply(Qg, ((1.0 + d * alpha) / (d + 1)) * math.sqrt(scale / gQg),
+                         out=step)
         if d == 1:
             # an interval: the cut keeps a (1 - alpha) / 2 share of it, and
             # the general update's factor d^2 / (d^2 - 1) is undefined
             scale *= 0.25 * (1.0 - alpha) ** 2
-            logdet_half += math.log(0.5 * (1.0 - alpha))
+            if collect_log:
+                logdet_half += math.log(0.5 * (1.0 - alpha))
         else:
             np.multiply(Qg, math.sqrt(tau / gQg), out=W[rank])
             rank += 1
@@ -391,8 +399,9 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
                 rank = 0
             grow = d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
             scale *= grow
-            logdet_half += 0.5 * (d * math.log(grow) + math.log(
-                (d - 1) * (1.0 - alpha) / ((d + 1) * (1.0 + alpha))))
+            if collect_log:
+                logdet_half += 0.5 * (d * math.log(grow) + math.log(
+                    (d - 1) * (1.0 - alpha) / ((d + 1) * (1.0 + alpha))))
         if collect_log:
             log.append((iteration, int(feasible), fval, kind, logdet_half))
     certified = best_objective - lower_bound <= eps_internal

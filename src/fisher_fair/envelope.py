@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ValidationError
+from .errors import DomainError, check_count
 from .market import MarketInstance
 
 ENV_TOL = 1e-9      # owner certification tolerance (dominance slack)
@@ -189,8 +189,7 @@ def plot_data(instance: MarketInstance, beta, num_points: int = 1000):
     Samples a uniform grid and additionally every envelope piece endpoint so
     discontinuities across valuation breakpoints render faithfully.
     """
-    if num_points < 0:
-        raise ValidationError(f"num_points must be >= 0, got {num_points}")
+    num_points = check_count("num_points", num_points, 0)
     beta = np.asarray(beta, dtype=float)
     env = upper_envelope(instance, beta)
     theta = np.union1d(np.linspace(0.0, 1.0, num_points), env.breakpoints)

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of a count
+argument that the library and the command line share."""
+
+import numbers
 
 
 class FisherFairError(Exception):
@@ -7,6 +10,15 @@ class FisherFairError(Exception):
 
 class ValidationError(FisherFairError):
     """An instance document or argument violates a structural invariant."""
+
+
+def check_count(name, value, minimum):
+    """``value`` as an int; a ValidationError unless it is an integer (not a
+    bool) of at least ``minimum``."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < minimum):
+        raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
 
 
 class DomainError(FisherFairError):

@@ -25,13 +25,12 @@ against.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .envelope import beta_bounds
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .market import MarketInstance
 
 
@@ -94,10 +93,7 @@ def mse_theory_bound(instance: MarketInstance, t) -> np.ndarray:
 def sda_run(instance: MarketInstance, iters: int, seed: int,
             beta_ref=None) -> SdaTrace:
     """One stochastic dual averaging run; bit-reproducible per seed."""
-    if (not isinstance(iters, numbers.Integral) or isinstance(iters, bool)
-            or iters < 1):
-        raise ValidationError(f"iters must be an integer >= 1, got {iters!r}")
-    iters = int(iters)
+    iters = check_count("iters", iters, 1)
     n = instance.n
     ref = None
     if beta_ref is not None:

@@ -340,6 +340,20 @@ def test_result_value_rejected_names_file(tmp_path, capsys, command, change):
     assert err.startswith(f"error: result file {bad}: ")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["plot-data", "--points", "-1", "--result", "RES"],
+     "--points must be an integer >= 0, got -1"),
+    (["sda", "--iters", "0", "--ref", "RES"], "--iters must be an integer >= 1, got 0"),
+    (["sda", "--iters", "0"], "--iters must be an integer >= 1, got 0")],
+    ids=["plot-data", "sda-ref", "sda"])
+def test_bad_option_not_blamed_on_result_file(tmp_path, capsys, argv, message):
+    inst, _ = _three_buyer_result(tmp_path)
+    argv = [str(tmp_path / "res.json") if arg == "RES" else arg for arg in argv]
+    capsys.readouterr()
+    assert main(argv + ["--instance", inst, "--out", str(tmp_path / "out.txt")]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("flag", ["--instance", "--out"])
 def test_solve_directory_path_exits_one(tmp_path, ex5_file, capsys, flag):
     argv = {"--instance": ex5_file, "--out": str(tmp_path / "res.json")}

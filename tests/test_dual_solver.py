@@ -15,8 +15,10 @@ from fisher_fair import (
 )
 from fisher_fair.dual_solver import (
     _CURVATURE_MU,
+    _FEW_BUYERS_LEVELS,
     _SMOOTH_MUS,
     _smoothed_dual,
+    _smoothed_start,
     _smoothing_cells,
     _split_winning_ties,
     allocation_from_beta,
@@ -424,6 +426,40 @@ CROWDED_SWEEP.append(("linear", 300, 5, 3155723043))
 def test_crowded_sweep_certifies(mode, n, k, seed):
     # many buyers on few segments: most buyers win thin slivers, and the
     # solve must still certify and pass the independent checks at 1e-6
+    _assert_certified_and_checked(sample_instance(n, k, seed, mode=mode))
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (2, 4), (3, 3), (4, 2), (5, 2), (7, 3),
+                                 (40, 1), (80, 5), (300, 5)])
+def test_smoothed_start_schedule_follows_buyers_per_segment(n, k, monkeypatch):
+    # at most two buyers per segment stop at the _FEW_BUYERS_LEVELS-th level;
+    # more (every crowded shape among them) visit every level
+    inst = sample_instance(n, k, 7)
+    seen = []
+    evaluate = dual_solver._smoothed_dual
+
+    def recording(instance, cells, beta, mu, hessian=True):
+        seen.append(mu)
+        return evaluate(instance, cells, beta, mu, hessian=hessian)
+
+    monkeypatch.setattr(dual_solver, "_smoothed_dual", recording)
+    _smoothed_start(inst, _smoothing_cells(inst))
+    levels = _FEW_BUYERS_LEVELS if n <= 2 * k else len(_SMOOTH_MUS)
+    assert list(dict.fromkeys(seen)) == list(_SMOOTH_MUS[:levels])
+
+
+# at most two buyers per segment, where the smoothed start stops early
+FEW_BUYERS_SWEEP = [(mode, n, k, seed)
+                    for mode in ("linear", "quasilinear")
+                    for n, k in ((3, 6), (10, 20), (25, 50), (4, 4), (12, 12),
+                                 (50, 50), (6, 3), (16, 8), (40, 20))
+                    for seed in range(3)]
+
+
+@pytest.mark.parametrize(
+    "mode,n,k,seed", FEW_BUYERS_SWEEP,
+    ids=[f"{m}-{n}x{k}-{s}" for m, n, k, s in FEW_BUYERS_SWEEP])
+def test_few_buyers_per_segment_sweep_certifies(mode, n, k, seed):
     _assert_certified_and_checked(sample_instance(n, k, seed, mode=mode))
 
 

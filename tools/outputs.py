@@ -33,9 +33,12 @@ outputs are bit-identical.
 every record and field that differs or exists on one side only, with the
 field's largest absolute difference; then, for every field that differs
 anywhere, the number of records it differs in and its largest absolute
-difference over them; then every record in which a boolean verdict
-(``certified``, ``kkt.pass``, ``fairness.pass``, ``fairness.ceei``) changed,
-and the number of such verdict flips.  It exits 1 when anything differs, so
+difference over them; then, for each workload, the sum of the solve
+records' ``iterations`` (exact evaluations) on each side and the number of
+solve records whose ``iterations`` changed, over the records present on both
+sides; then every record in which a boolean verdict (``certified``,
+``kkt.pass``, ``fairness.pass``, ``fairness.ceei``) changed, and the number
+of such verdict flips.  It exits 1 when anything differs, so
 status 0 means bit-identical.  Run each side from its own checkout with one
 BLAS thread (the script sets ``OPENBLAS_NUM_THREADS=1`` before importing
 numpy).
@@ -210,6 +213,7 @@ def compare(path_a, path_b):
     same, differ = Counter(), 0
     fields = {}                       # (kind, field) -> [records, largest diff]
     flips = []                        # (kind, key, changed verdicts)
+    evals = {}                        # workload -> [sum A, sum B, records changed]
     for kind, key in sorted(a.keys() | b.keys()):
         if (kind, key) not in a or (kind, key) not in b:
             side = path_b if (kind, key) in b else path_a
@@ -217,6 +221,11 @@ def compare(path_a, path_b):
             differ += 1
             continue
         fa, fb = a[kind, key], b[kind, key]
+        if kind == "solve":
+            slot = evals.setdefault(key.split("/")[0], [0, 0, 0])
+            slot[0] += fa["iterations"]
+            slot[1] += fb["iterations"]
+            slot[2] += fa["iterations"] != fb["iterations"]
         bad = {name: _max_diff(fa.get(name), fb.get(name))
                for name in sorted(fa.keys() | fb.keys())
                if json.dumps(fa.get(name)) != json.dumps(fb.get(name))}
@@ -239,6 +248,9 @@ def compare(path_a, path_b):
     print("identical:", ", ".join(f"{n} {kind}" for kind, n in sorted(same.items())))
     for (kind, name), (records, d) in sorted(fields.items()):
         print(f"{kind} {name}: differs in {records} records, {_describe(d)}")
+    for workload, (sum_a, sum_b, changed) in sorted(evals.items()):
+        print(f"{workload} solve iterations: {sum_a} -> {sum_b}, "
+              f"changed in {changed} records")
     for kind, key, changed in flips:
         print(f"verdict flip {kind} {key}: " + ", ".join(changed))
     print(f"verdict flips: {len(flips)}")
