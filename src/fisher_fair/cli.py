@@ -6,8 +6,9 @@ CSV), oracle, sample-instance, plot-data, bench.  Exit codes: 0 success
 (certified where applicable), 1 input or validation error, including paths
 that cannot be opened, result files that lack a required key or hold a value
 of the wrong type or shape (the error names the file), malformed ``bench``
-arguments and usage errors, 2 solver finished without a certificate (the best
-iterate is still written).
+arguments, a ``--gap-tol`` that is not a finite number >= 0 (checked before
+anything is loaded) and usage errors, 2 solver finished without a certificate
+(the best iterate is still written).
 ``bench`` times each (n, k, seed) cell as the fastest of three build+solve
 runs, one cell at a time so that cells do not compete for cores, and appends
 the evaluation and envelope-piece counts of those runs summed over the seeds.
@@ -35,7 +36,7 @@ from .dual_solver import (
 from .ellipsoid import ellipsoid_solve
 from .envelope import plot_data
 from .errors import (DomainError, FisherFairError, NotConverged, ValidationError,
-                     check_count)
+                     check_count, check_tolerance)
 from .feasible import emit_conic_program
 from .market import load_instance
 from .sampling import sample_document
@@ -103,6 +104,7 @@ def _read_beta(path):
 
 
 def _cmd_solve(args):
+    check_tolerance("--gap-tol", args.gap_tol)
     instance = load_instance(args.instance)
     if args.mode == "sda":
         trace = sda_mod.sda_run(instance, args.iters, args.seed)
@@ -228,6 +230,7 @@ def _bench_cell(n, k, seed, gap_tol):
 
 
 def _cmd_bench(args):
+    check_tolerance("--gap-tol", args.gap_tol)
     try:
         n_part, k_part = args.grid.split(":")
         ns = [int(v) for v in n_part.split(",") if v]

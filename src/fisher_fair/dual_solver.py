@@ -28,14 +28,17 @@ The run has two phases:
    Hessian of the envelope integral) is available in closed form piece by
    piece, and Newton steps drive the gap to roundoff level.  That Hessian
    sees only the current envelope structure, so while the gap is above 1e-6
-   the smoothed dual's Hessian is added to it.  ``SolveConfig.max_iter``
-   envelope evaluations are the only budget, and the loop ends on exactly
-   one of three exits:
+   the smoothed dual's Hessian is added to it; that one is rebuilt only on
+   the first iteration and after a full step, and kept through damped
+   steps.  ``SolveConfig.max_iter`` envelope evaluations are the only
+   budget, and the loop ends on exactly one of three exits:
 
    a. the best iterate, the one returned, has gap below 1e-13 and projected
       gradient below 1e-11, or the budget is spent;
-   b. a 25-step backtracking line search finds no acceptable step, or its
-      step no longer moves beta at float precision (Newton stalled);
+   b. a 25-step backtracking line search, which starts from twice the
+      step length the last one accepted (at most 1) and halves, finds no
+      acceptable step, or its step no longer moves beta at float precision
+      (Newton stalled);
    c. psi is flat to roundoff (best gap below 1e-13) and a whole Newton
       iteration left the best iterate unchanged: past that point steps are
       accepted on one-ulp changes of psi and only wander.
@@ -49,7 +52,11 @@ several scaled lines tie is split by price mass, in each buyer's own units,
 so the split stays attainable when the tied densities are proportional
 rather than equal; such a segment is cut greedily at its split utilities.
 The ellipsoid solver builds its allocation with the same routine, cutting
-every segment greedily.
+every segment greedily.  Buyers whose valuation rows are exactly equal
+(twins) sit at the kink beta_i = beta_j of the dual, which Newton reaches
+only to about 1e-8 while the tie split groups lines equal to 1e-9, so
+``solve`` minimizes the market with each group of twins merged into one
+buyer and builds the result on the original market at that beta.
 """
 
 from __future__ import annotations
@@ -60,7 +67,7 @@ import numpy as np
 
 from .envelope import (PiecewiseLinearFunction, _winning_matrix, beta_bounds,
                        dual_subgradient)
-from .errors import DomainError, NotConverged
+from .errors import DomainError, NotConverged, check_count, check_tolerance
 from .feasible import LAMBDA_FLOOR, partition_segment
 from .market import Interval, MarketInstance, QUASILINEAR
 
@@ -87,7 +94,9 @@ _SMOOTH_DECREMENT = 1e-2
 _EXP_FLOOR = -60.0
 # the exact Newton phase adds the smoothed Hessian at mu = _CURVATURE_MU for
 # up to 100 buyers, shrinking like 1/n beyond (the gaps between the top scaled
-# lines do), while the gap is above _CURVATURE_GAP
+# lines do), while the gap is above _CURVATURE_GAP; it is rebuilt on the first
+# iteration and after each full step only, since on crowded markets most
+# steps are damped and a fresh one there buys no longer step
 _CURVATURE_MU = 3e-3
 _CURVATURE_GAP = 1e-6
 
@@ -467,13 +476,45 @@ def _smoothed_start(instance, cells):
     return beta
 
 
+def _merge_twins(instance):
+    """(market, group): buyers whose ``c`` and ``d`` rows are exactly equal
+    (twins) merged into one buyer with the group's summed budget, numbered by
+    first appearance, and each original buyer's index in that market; group
+    is None, and the market the instance itself, when there are no twins.
+    At the equilibrium twins share one utility price, and restricted to equal
+    twin betas the dual is the merged market's, so the merged optimum, with
+    every twin at its group's beta, is the original one."""
+    rows = np.concatenate([instance.c, instance.d], axis=1)
+    # twins share every column, so a first column with no repeated value
+    # rules them out at a tenth of the cost of the row-wise unique
+    col = np.sort(rows[:, 0])
+    if (col[1:] != col[:-1]).all():
+        return instance, None
+    _, first, inverse = np.unique(rows, axis=0, return_index=True,
+                                  return_inverse=True)
+    if first.size == instance.n:
+        return instance, None
+    keep = np.sort(first)
+    group = np.searchsorted(keep, first[inverse.ravel()])
+    market = MarketInstance(
+        budgets=np.bincount(group, weights=instance.budgets),
+        grid=instance.grid, c=instance.c[keep], d=instance.d[keep],
+        mode=instance.mode)
+    return market, group
+
+
 def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumResult:
     """Compute a certified equilibrium; raises NotConverged (carrying the best
-    iterate) when the duality gap cannot be pushed below config.gap_tol."""
+    iterate) when the duality gap cannot be pushed below config.gap_tol.
+    Twins are solved as one buyer (``_merge_twins``); the result, its gap
+    and its checks are those of ``instance`` at the merged prices."""
     cfg = config or SolveConfig()
-    B = instance.budgets
-    lo, hi = beta_bounds(instance)
-    C = duality_constant(instance)
+    check_tolerance("gap_tol", cfg.gap_tol)
+    check_count("max_iter", cfg.max_iter, 1)
+    market, group = _merge_twins(instance)
+    B = market.budgets
+    lo, hi = beta_bounds(market)
+    C = duality_constant(market)
     evals = 0
     best_bound = -np.inf
     best_gap = np.inf
@@ -487,11 +528,11 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
         # held at the cap keeps money instead); prefer iterates better in the
         # gap, then in the gradient at equal gap
         nonlocal evals, best_bound, best_gap, best_gn, best
-        psi, g, useg, env = dual_subgradient(instance, b)
+        psi, g, useg, env = dual_subgradient(market, b)
         evals += 1
-        useg = _split_winning_ties(instance, b, useg)
-        g = useg.sum(axis=1) - instance.budgets / b
-        best_bound = max(best_bound, _primal(instance, useg.sum(axis=1))[0] + C)
+        useg = _split_winning_ties(market, b, useg)
+        g = useg.sum(axis=1) - market.budgets / b
+        best_bound = max(best_bound, _primal(market, useg.sum(axis=1))[0] + C)
         gap = psi - best_bound
         gn = float(np.abs(np.where(_held(b, g, lo, hi), 0.0, g)).max())
         if (best is None or gap < best_gap - 1e-15
@@ -508,23 +549,28 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
         return ((best_gap <= _GAP_FLOOR and best_gn <= 1e-11)
                 or evals >= cfg.max_iter)
 
-    cells = _smoothing_cells(instance)
-    curvature_mu = _CURVATURE_MU * min(1.0, 100.0 / instance.n)
-    beta = _smoothed_start(instance, cells)
+    cells = _smoothing_cells(market)
+    curvature_mu = _CURVATURE_MU * min(1.0, 100.0 / market.n)
+    beta = _smoothed_start(market, cells)
     psi, g, env, _, gn = assess(beta)
     stalled = False
+    alpha = 1.0                   # the step length last accepted
+    curvature = None
     while not polished():
+        H = _envelope_hessian(market, env, beta)
         if best_gap > _CURVATURE_GAP:
             # the exact Hessian sees only the current envelope structure; a
             # step that changes it meets more curvature, which the smoothed
-            # dual's Hessian (barrier included) supplies
-            H = _smoothed_dual(instance, cells, beta, curvature_mu)[2]
+            # dual's Hessian (barrier included) supplies.  After a damped
+            # step the last one is kept: rebuilding it there buys no step
+            if curvature is None or alpha == 1.0:
+                curvature = _smoothed_dual(market, cells, beta, curvature_mu)[2]
+            H += curvature
         else:
-            H = np.diag(B / beta ** 2)
-        H += _envelope_hessian(instance, env, beta)
+            H[np.diag_indices_from(H)] += B / beta ** 2
         step = _free_newton_step(H, g, beta, lo, hi)
         before = best
-        alpha = 1.0
+        alpha = min(1.0, 2.0 * alpha)   # damped steps recur: twice the last one
         for _ in range(25):
             cand = np.clip(beta + alpha * step, lo, hi)
             # a step below the float spacing at beta leaves it unchanged, and
@@ -551,17 +597,24 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
             # that leaves the best iterate alone only wanders
             break
 
-    result = _result(instance, *best, iterations=evals, gap_history=gap_history)
     why = ("Newton stalled" if stalled
            else "evaluation budget exhausted" if evals >= cfg.max_iter
            else "gap at roundoff level")
+    if group is not None:
+        # every twin takes its group's beta; there the twins' lines tie
+        # exactly, and the tie split shares their region by remaining budget
+        beta = best[0][group]
+        psi, _, useg, env = dual_subgradient(instance, beta)
+        evals += 1
+        best = (beta, psi, _split_winning_ties(instance, beta, useg), env)
+    result = _result(instance, *best, iterations=evals, gap_history=gap_history)
     if result.gap > cfg.gap_tol:
         raise NotConverged(
             f"duality gap {result.gap:.3e} above tolerance {cfg.gap_tol:.3e} "
             f"after {evals} evaluations: {why}", result=result, gap=result.gap)
     # the gap is quadratic in the utility error, so a gap far below gap_tol
     # can still leave utilities off their targets B / beta by ~sqrt(gap)
-    identity = float(np.abs(result.u - B / result.beta).max())
+    identity = float(np.abs(result.u - instance.budgets / result.beta).max())
     if identity > _IDENTITY_TOL:
         raise NotConverged(
             f"utility-price residual {identity:.3e} above {_IDENTITY_TOL:.0e} "

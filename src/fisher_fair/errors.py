@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the check of a count
-argument that the library and the command line share."""
+"""Exception types shared across the package, and the checks of a count
+and of a tolerance argument that the library and the command line share."""
 
+import math
 import numbers
 
 
@@ -19,6 +20,15 @@ def check_count(name, value, minimum):
             or value < minimum):
         raise ValidationError(f"{name} must be an integer >= {minimum}, got {value!r}")
     return int(value)
+
+
+def check_tolerance(name, value):
+    """``value`` as a float; a ValidationError unless it is a finite number
+    of at least 0."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not math.isfinite(value) or value < 0):
+        raise ValidationError(f"{name} must be a finite number >= 0, got {value!r}")
+    return float(value)
 
 
 class DomainError(FisherFairError):

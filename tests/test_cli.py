@@ -354,6 +354,26 @@ def test_bad_option_not_blamed_on_result_file(tmp_path, capsys, argv, message):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve"], ["solve", "--mode", "sda"], ["bench", "--grid", "3:2", "--seeds", "1"]],
+    ids=["solve", "solve-sda", "bench"])
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+def test_bad_gap_tol_exits_one_before_loading(tmp_path, capsys, monkeypatch,
+                                              argv, value):
+    # the option is checked before any instance is built or loaded, so a
+    # missing instance file is never reached
+    def never(*args, **kwargs):
+        raise AssertionError("built an instance")
+
+    monkeypatch.setattr(cli, "load_instance", never)
+    if argv[0] == "solve":
+        argv = argv + ["--instance", str(tmp_path / "missing.json")]
+    capsys.readouterr()
+    assert main(argv + ["--gap-tol", value]) == 1
+    assert capsys.readouterr().err == (
+        f"error: --gap-tol must be a finite number >= 0, got {float(value)!r}\n")
+
+
 @pytest.mark.parametrize("flag", ["--instance", "--out"])
 def test_solve_directory_path_exits_one(tmp_path, ex5_file, capsys, flag):
     argv = {"--instance": ex5_file, "--out": str(tmp_path / "res.json")}

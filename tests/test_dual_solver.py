@@ -8,12 +8,14 @@ from fisher_fair import (
     EquilibriumResult,
     NotConverged,
     SolveConfig,
+    ValidationError,
     build_instance,
     dual_solver,
     dual_subgradient,
     solve,
 )
 from fisher_fair.dual_solver import (
+    _CURVATURE_GAP,
     _CURVATURE_MU,
     _FEW_BUYERS_LEVELS,
     _SMOOTH_MUS,
@@ -27,7 +29,8 @@ from fisher_fair.dual_solver import (
     pure_allocation,
 )
 from fisher_fair.envelope import beta_bounds
-from fisher_fair.sampling import sample_instance
+from fisher_fair.market import load_instance
+from fisher_fair.sampling import sample_document, sample_instance
 from fisher_fair.sda import sda_run
 from fisher_fair.verification import check_equilibrium, discretized_oracle, fairness
 from tests.conftest import EX5_BETA, EX5_CUTS, EX5_U
@@ -427,6 +430,198 @@ def test_crowded_sweep_certifies(mode, n, k, seed):
     # many buyers on few segments: most buyers win thin slivers, and the
     # solve must still certify and pass the independent checks at 1e-6
     _assert_certified_and_checked(sample_instance(n, k, seed, mode=mode))
+
+
+def test_crowded_300x5_sweep_within_evaluation_budget():
+    # the line search starts from twice the last accepted step and the
+    # smoothed curvature is kept through damped steps; restarting at alpha = 1
+    # with fresh curvature every iteration took 2,088 evaluations here
+    total = 0
+    for mode, n, k, seed in CROWDED_SWEEP:
+        if (n, k) == (300, 5):
+            result = solve(sample_instance(n, k, seed, mode=mode))
+            assert result.gap <= 1e-8
+            total += result.iterations
+    assert total <= 1000
+
+
+def _exact_phase(inst, monkeypatch):
+    """solve(inst) with the exact Newton phase recorded: one dict per
+    iteration with its beta, Newton step, line-search trials and the mu of
+    every smoothed-dual call made for it.  Calls before the first envelope
+    evaluation belong to the smoothed start and are left out."""
+    iterations = []
+    curvature = []
+    started = []
+    evaluate = dual_solver.dual_subgradient
+    smoothed = dual_solver._smoothed_dual
+    newton = dual_solver._free_newton_step
+
+    def recording_eval(instance, beta):
+        started.append(True)
+        if iterations:
+            iterations[-1]["trials"].append(beta.copy())
+        return evaluate(instance, beta)
+
+    def recording_smoothed(instance, cells, beta, mu, hessian=True):
+        if started:
+            curvature.append((mu, beta.copy()))
+        return smoothed(instance, cells, beta, mu, hessian=hessian)
+
+    def recording_newton(H, g, beta, lo, hi):
+        step = newton(H, g, beta, lo, hi)
+        if started:
+            iterations.append({"beta": beta.copy(), "step": step.copy(),
+                               "curvature": curvature[:], "trials": []})
+            curvature.clear()
+        return step
+
+    monkeypatch.setattr(dual_solver, "dual_subgradient", recording_eval)
+    monkeypatch.setattr(dual_solver, "_smoothed_dual", recording_smoothed)
+    monkeypatch.setattr(dual_solver, "_free_newton_step", recording_newton)
+    return solve(inst), iterations
+
+
+def _accepted_steps(inst, iterations):
+    """(first trial's step length, accepted step length) of every iteration
+    but the last, whose accepted step is read off the next one's beta."""
+    lo, hi = beta_bounds(inst)
+    out = []
+    for it, nxt in zip(iterations, iterations[1:]):
+        hits = [j for j, b in enumerate(it["trials"])
+                if np.array_equal(b, nxt["beta"])]
+        assert len(hits) == 1
+        first = None
+        for alpha in 0.5 ** np.arange(50.0):
+            if np.array_equal(np.clip(it["beta"] + alpha * it["step"], lo, hi),
+                              it["trials"][0]):
+                first = alpha
+                break
+        assert first is not None
+        out.append((first, first * 0.5 ** hits[0]))
+    return out
+
+
+# (n, k, seed): a crowded shape, whose line searches damp most steps, and a
+# grid one
+EXACT_PHASE_SHAPES = [(300, 5, 0), (50, 50, 1)]
+
+
+@pytest.mark.parametrize("n,k,seed", EXACT_PHASE_SHAPES,
+                         ids=[f"{n}x{k}" for n, k, _ in EXACT_PHASE_SHAPES])
+def test_line_search_starts_at_twice_the_last_step(n, k, seed, monkeypatch):
+    inst = sample_instance(n, k, seed)
+    result, iterations = _exact_phase(inst, monkeypatch)
+    assert result.gap <= 1e-8
+    steps = _accepted_steps(inst, iterations)
+    assert steps[0][0] == 1.0
+    for (_, taken), (first, _) in zip(steps, steps[1:]):
+        assert first == min(1.0, 2.0 * taken)
+    if n > 2 * k:
+        # both kinds of step occur, so the rule was exercised both ways
+        assert any(taken < 1.0 for _, taken in steps)
+        assert any(taken == 1.0 for _, taken in steps)
+
+
+@pytest.mark.parametrize("n,k,seed", EXACT_PHASE_SHAPES,
+                         ids=[f"{n}x{k}" for n, k, _ in EXACT_PHASE_SHAPES])
+def test_curvature_refreshed_only_after_full_steps(n, k, seed, monkeypatch):
+    inst = sample_instance(n, k, seed)
+    result, iterations = _exact_phase(inst, monkeypatch)
+    steps = _accepted_steps(inst, iterations)
+    mu = _CURVATURE_MU * min(1.0, 100.0 / n)
+    # the best gap each iteration starts from: one history entry per
+    # evaluation, and the first iteration follows the first evaluation
+    done = np.cumsum([1] + [len(it["trials"]) for it in iterations])
+    refreshed = 0
+    for t, it in enumerate(iterations[:-1]):
+        wanted = (t == 0 or steps[t - 1][1] == 1.0)
+        above = result.gap_history[done[t] - 1] > _CURVATURE_GAP
+        calls = it["curvature"]
+        if wanted and above:
+            assert len(calls) == 1
+            assert calls[0][0] == mu
+            assert np.array_equal(calls[0][1], it["beta"])
+            refreshed += 1
+        else:
+            assert calls == []
+    assert refreshed >= 1
+    if n > 2 * k:
+        # some iterations kept the last curvature
+        assert refreshed < sum(
+            result.gap_history[done[t] - 1] > _CURVATURE_GAP
+            for t in range(len(iterations) - 1))
+
+
+@pytest.mark.parametrize("n,k,seed", [(2, 1, 0), (5, 2, 0), (12, 1, 3)])
+def test_merge_twins_groups_equal_rows(n, k, seed):
+    inst = sample_instance(n, k, seed)
+    market, group = dual_solver._merge_twins(inst)
+    assert market is inst and group is None
+    # an equal first column alone makes no twins (quasilinear loading keeps
+    # the distinct intercepts apart; linear would scale each to one with K = 1)
+    flat = build_instance(inst.budgets, inst.grid.points,
+                          np.where(np.arange(k) == 0, 0.0, inst.c), inst.d,
+                          mode="quasilinear")
+    market, group = dual_solver._merge_twins(flat)
+    assert market is flat and group is None
+    # buyers 0, 2 and 4 (when present) copy buyer 1's rows
+    copies = [i for i in (0, 2, 4) if i < n]
+    c, d = inst.c.copy(), inst.d.copy()
+    c[copies], d[copies] = c[1], d[1]
+    twins = build_instance(inst.budgets, inst.grid.points, c, d)
+    market, group = dual_solver._merge_twins(twins)
+    # groups are numbered by first appearance; buyer 0 opens the twins' one
+    expect = [0] * n
+    rest = [i for i in range(n) if i not in copies and i != 1]
+    for g, i in enumerate(rest, start=1):
+        expect[i] = g
+    assert group.tolist() == expect
+    assert market.n == 1 + len(rest)
+    assert market.mode == twins.mode
+    assert np.array_equal(market.c[group], twins.c)
+    assert np.array_equal(market.d[group], twins.d)
+    assert np.allclose(market.budgets,
+                       np.bincount(group, weights=twins.budgets), rtol=0, atol=0)
+
+
+def _twins_document(s, mode):
+    """sample_document(2 + s % 3, 1 + (s // 3) % 3, s) with buyer 1 made a
+    copy of buyer 0 and its budget scaled by U(0.2, 3)."""
+    doc = sample_document(2 + s % 3, 1 + (s // 3) % 3, s, mode=mode)
+    doc["c"][1] = list(doc["c"][0])
+    doc["d"][1] = list(doc["d"][0])
+    doc["budgets"][1] = doc["budgets"][0] * np.random.default_rng(s).uniform(0.2, 3)
+    return doc
+
+
+@pytest.mark.parametrize("mode", ["linear", "quasilinear"])
+def test_identical_buyers_certify(mode):
+    # before twins were solved as one buyer, solve raised NotConverged on 28
+    # of these 40 linear markets and 14 of the quasilinear ones: the optimum
+    # sits on the kink beta_0 = beta_1, which Newton reaches only to ~1e-8
+    for s in range(1000, 1040):
+        inst = load_instance(_twins_document(s, mode))
+        _assert_certified_and_checked(inst)
+        res = solve(inst)
+        assert res.beta[0] == res.beta[1]
+        assert np.all(res.u[:2] > 0)
+
+
+@pytest.mark.parametrize("config,match", [
+    (SolveConfig(gap_tol=float("nan")), "gap_tol"),
+    (SolveConfig(gap_tol=float("inf")), "gap_tol"),
+    (SolveConfig(gap_tol=-1.0), "gap_tol"),
+    (SolveConfig(max_iter=0), "max_iter"),
+    (SolveConfig(max_iter=2.0), "max_iter"),
+], ids=["nan", "inf", "negative", "max-iter-0", "max-iter-float"])
+def test_solve_rejects_bad_config(example5, monkeypatch, config, match):
+    def never(instance, beta):
+        raise AssertionError("evaluated the envelope")
+
+    monkeypatch.setattr(dual_solver, "dual_subgradient", never)
+    with pytest.raises(ValidationError, match=match):
+        solve(example5, config)
 
 
 @pytest.mark.parametrize("n,k", [(1, 1), (2, 4), (3, 3), (4, 2), (5, 2), (7, 3),
