@@ -6,7 +6,8 @@ CSV), oracle, sample-instance, plot-data, bench.  Exit codes: 0 success
 (certified where applicable), 1 input or validation error, including paths
 that cannot be opened, result files that lack a required key or hold a value
 of the wrong type or shape (the error names the file), malformed ``bench``
-arguments, a ``--gap-tol`` that is not a finite number >= 0 (checked before
+arguments, a ``--gap-tol`` that is not a finite number >= 0, a ``--seed`` or
+``--seeds`` value below 0 or an ``--iters`` below 1 (all checked before
 anything is loaded) and usage errors, 2 solver finished without a certificate
 (the best iterate is still written).
 ``bench`` times each (n, k, seed) cell as the fastest of three build+solve
@@ -105,6 +106,9 @@ def _read_beta(path):
 
 def _cmd_solve(args):
     check_tolerance("--gap-tol", args.gap_tol)
+    if args.mode == "sda":
+        check_count("--iters", args.iters, 1)
+        check_count("--seed", args.seed, 0)
     instance = load_instance(args.instance)
     if args.mode == "sda":
         trace = sda_mod.sda_run(instance, args.iters, args.seed)
@@ -154,8 +158,9 @@ def _cmd_emit_conic(args):
 
 
 def _cmd_sda(args):
-    instance = load_instance(args.instance)
     check_count("--iters", args.iters, 1)       # outside the file-value wrap
+    check_count("--seed", args.seed, 0)
+    instance = load_instance(args.instance)
     beta_ref = None
     if args.ref:
         beta_ref = _read_beta(args.ref)
@@ -195,6 +200,7 @@ def _cmd_oracle(args):
 
 
 def _cmd_sample(args):
+    check_count("--seed", args.seed, 0)
     doc = sample_document(args.n, args.k, args.seed, mode=args.mode)
     _write_json(doc, args.out)
     return 0
@@ -243,6 +249,8 @@ def _cmd_bench(args):
     except ValueError as exc:
         raise FisherFairError(f"bad --seeds value {args.seeds!r}; "
                               "expected S1,S2,..") from exc
+    for seed in seeds:
+        check_count("--seeds", seed, 0)
     cells = sorted({(n, k) for n in ns for k in ks}) if seeds else []
     rows = []
     for n, k in cells:

@@ -379,18 +379,18 @@ def _smoothing_cells(instance):
     return width[seg], V
 
 
-def _smoothed_dual(instance, cells, beta, mu, hessian=True):
-    """Midpoint-rule log-sum-exp dual, its gradient and (optionally) Hessian:
+def _smoothed_value(instance, cells, beta, mu):
+    """Midpoint-rule log-sum-exp dual and its gradient,
 
     f = sum_j w_j mu log sum_i exp(beta_i v_ij / mu) - sum_i B_i log beta_i,
     g = sum_j w_j s_j v_j - B / beta,
-    H = sum_j (w_j / mu) [diag(s_j v_j^2) - (s_j v_j)(s_j v_j)^T] + diag(B / beta^2),
 
     with v_ij buyer i's density at cell j's midpoint and s_j the softmax of
-    beta * v_j / mu, in one pass over all cells.  An exponent more than
-    -_EXP_FLOOR below its cell's top is clamped there, so exp never
-    underflows; such a weight is about 1e-26 or less, far below roundoff in
-    f, g and H.
+    beta * v_j / mu, in one pass over all cells; returns (f, g, Z) with
+    Z_ij = w_j s_ij v_ij, from which ``_smoothed_hessian`` finishes the
+    Hessian.  An exponent more than -_EXP_FLOOR below its cell's top is
+    clamped there, so exp never underflows; such a weight is about 1e-26 or
+    less, far below roundoff in f, g and H.
     """
     w, V = cells
     B = instance.budgets
@@ -404,14 +404,27 @@ def _smoothed_dual(instance, cells, beta, mu, hessian=True):
     Z *= w / tot
     Z *= V                            # w_j s_ij v_ij
     g = Z.sum(axis=1) - B / beta
-    if not hessian:
-        return f, g, None
-    diag = np.einsum("ij,ij->i", Z, V) / mu + B / beta ** 2
+    return f, g, Z
+
+
+def _smoothed_hessian(instance, cells, beta, mu, Z):
+    """H = sum_j (w_j / mu) [diag(s_j v_j^2) - (s_j v_j)(s_j v_j)^T]
+    + diag(B / beta^2) from the Z that ``_smoothed_value`` returned at the
+    same beta and mu; overwrites Z."""
+    w, V = cells
+    diag = np.einsum("ij,ij->i", Z, V) / mu + instance.budgets / beta ** 2
     Z *= 1.0 / np.sqrt(w * mu)        # sqrt(w_j / mu) s_ij v_ij
     H = Z @ Z.T
     np.negative(H, out=H)
     H.flat[::beta.size + 1] += diag
-    return f, g, H
+    return H
+
+
+def _smoothed_dual(instance, cells, beta, mu):
+    """(f, g, H) of the smoothed dual at beta (``_smoothed_value`` and
+    ``_smoothed_hessian``)."""
+    f, g, Z = _smoothed_value(instance, cells, beta, mu)
+    return f, g, _smoothed_hessian(instance, cells, beta, mu, Z)
 
 
 def _held(beta, g, lo, hi):
@@ -444,7 +457,9 @@ def _smoothed_start(instance, cells):
     segment (n <= 2K) only the first _FEW_BUYERS_LEVELS levels run: the
     levels below mu = 3.75e-3 cost more time there than the few exact
     evaluations they save, while with more buyers per segment they save
-    many."""
+    many.  A line-search trial evaluates f and g only; the Hessian is
+    finished at the accepted point from that trial's softmax weights, so a
+    rejected trial builds none and no point is evaluated twice."""
     lo, hi = beta_bounds(instance)
     mus = (_SMOOTH_MUS[:_FEW_BUYERS_LEVELS]
            if instance.n <= 2 * instance.num_segments else _SMOOTH_MUS)
@@ -458,21 +473,19 @@ def _smoothed_start(instance, cells):
             step = _free_newton_step(H, g, beta, lo, hi)
             if -float(np.dot(g, step)) <= _SMOOTH_DECREMENT * mu:
                 break
-            # Armijo backtracking; the full step, taken most of the time,
-            # is tried with its Hessian so an accepted one needs no second pass
+            # Armijo backtracking on f and g alone; the Hessian is finished
+            # at the accepted point only, from that trial's softmax weights
             alpha = 1.0
             while alpha > 1e-10:
                 cand = np.clip(beta + alpha * step, lo, hi)
-                trial = _smoothed_dual(instance, cells, cand, mu,
-                                       hessian=alpha == 1.0)
-                if trial[0] <= f + 1e-4 * float(np.dot(g, cand - beta)):
+                f_c, g_c, Z = _smoothed_value(instance, cells, cand, mu)
+                if f_c <= f + 1e-4 * float(np.dot(g, cand - beta)):
                     break
                 alpha *= 0.5
             else:
                 break
-            beta = cand
-            f, g, H = (trial if trial[2] is not None
-                       else _smoothed_dual(instance, cells, beta, mu))
+            beta, f, g = cand, f_c, g_c
+            H = _smoothed_hessian(instance, cells, beta, mu, Z)
     return beta
 
 

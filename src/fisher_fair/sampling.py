@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, check_count
 from .market import MarketInstance, build_instance
 
 _MIN_GAP = 1e-3
@@ -21,7 +21,7 @@ def sample_document(n: int, k: int, seed: int, mode: str = "linear") -> dict:
     """Instance document (shared-grid JSON shape) for n buyers, k segments."""
     if n < 1 or k < 1:
         raise ValidationError("need n >= 1 buyers and k >= 1 segments")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(check_count("seed", seed, 0))
     while True:
         interior = np.sort(rng.random(k - 1))
         pts = np.concatenate([[0.0], interior, [1.0]])

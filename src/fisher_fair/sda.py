@@ -10,9 +10,15 @@ samples, the iterate that scores sample t + 1 is
 
 the same iterate as clamp(B_i / gbar_{t, i}) with gbar_t = G_t / t the
 averaged subgradient.  The loop keeps ``ratio = B / G``: one sample changes
-one coordinate of G and of ratio, so a step is a multiply, a clamp and an
-argmax on n-vectors.  A buyer that has not won yet has ratio inf and sits at
-its upper bound.  Sample locations and their values are drawn and built in
+one coordinate of G and of ratio, so a step is a multiply and an argmax to
+score the sample and one multiply for the next iterate, on n-vectors.  A
+buyer that has not won yet has ratio inf and sits at its upper bound.  Each
+half of the clamp runs only at steps where its bound can bind: the upper
+half while some buyer has not won yet or some ratio_i t is within a relative
+1e-9 of upper_i or above, the lower half while some ratio_i t is within 1e-9
+of lower_i or below.  Two step thresholds, which change only when a buyer
+wins, decide this; elsewhere the clamp is the identity, so skipping it
+changes no bit.  Sample locations and their values are drawn and built in
 blocks of ``_BLOCK`` rows, so memory is O(_BLOCK * n) whatever the number of
 samples.  Traces record the iterate and the uniform average beta_tilde at
 power-of-two checkpoints; with a reference vector the squared error of the
@@ -94,6 +100,7 @@ def sda_run(instance: MarketInstance, iters: int, seed: int,
             beta_ref=None) -> SdaTrace:
     """One stochastic dual averaging run; bit-reproducible per seed."""
     iters = check_count("iters", iters, 1)
+    seed = check_count("seed", seed, 0)
     n = instance.n
     ref = None
     if beta_ref is not None:
@@ -111,7 +118,20 @@ def sda_run(instance: MarketInstance, iters: int, seed: int,
     # read and write than an array element
     G = [0.0] * n
     Bl = instance.budgets.tolist()
+    lower_l = lower.tolist()
     ratio = np.full(n, np.inf)
+    # the clamp changes nothing at step s when s_lo <= s <= s_up, with
+    # s_lo = max_i lower_i / ratio_i and s_up = min_i upper_i / ratio_i;
+    # the margin of 1e-9 covers the rounding of these quotients and of
+    # ratio * s.  Only the winner's ratio changes, and it falls unless the
+    # value charged is negative (a density may dip to -NONNEG_TOL), so s_lo
+    # is a running max, never too low, and s_up, attained by buyer up_at,
+    # is found again when up_at wins or a charged value is negative
+    s_lo = 0.0
+    skip_lo = skip_up = 0.0
+    up_at = 0
+    scores = np.empty(n)
+    inf = math.inf
     beta_sum = np.zeros(n)
     # row j scores the block's sample j; row m is the iterate after the block
     betas = np.empty((_BLOCK + 1, n))
@@ -127,16 +147,29 @@ def sda_run(instance: MarketInstance, iters: int, seed: int,
             thetas = rng.random(m)
             seg = instance.grid.locate(thetas)
             values = ct[seg] * thetas[:, None] + dt[seg]  # (m, n)
-            for j, vals in enumerate(values):
-                w = (rows[j] * vals).argmax()
-                g = G[w] + vals.item(w)
+            s = t
+            for cur, row, vals in zip(rows, rows[1:], values):
+                w = int(np.multiply(cur, vals, out=scores).argmax())
+                v = vals.item(w)
+                g = G[w] + v
                 G[w] = g
                 # no positive winnings yet (a zero-valued sample): stay at upper
-                ratio[w] = Bl[w] / g if g > 0.0 else math.inf
-                row = rows[j + 1]
-                np.multiply(ratio, t + j + 1, out=row)
-                np.minimum(row, upper, out=row)
-                np.maximum(row, lower, out=row)
+                rw = Bl[w] / g if g > 0.0 else inf
+                ratio[w] = rw
+                q = lower_l[w] / rw
+                if q > s_lo:
+                    s_lo = q
+                    skip_lo = q * (1.0 + 1e-9)
+                if w == up_at or v < 0.0:
+                    q_up = upper / ratio
+                    up_at = int(q_up.argmin())
+                    skip_up = q_up.item(up_at) * (1.0 - 1e-9)
+                s += 1
+                np.multiply(ratio, s, out=row)
+                if s >= skip_up:
+                    np.minimum(row, upper, out=row)
+                if s <= skip_lo:
+                    np.maximum(row, lower, out=row)
             beta_sum += betas[:m].sum(axis=0)
             betas[0] = betas[m]
             t += m

@@ -374,6 +374,36 @@ def test_bad_gap_tol_exits_one_before_loading(tmp_path, capsys, monkeypatch,
         f"error: --gap-tol must be a finite number >= 0, got {float(value)!r}\n")
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--mode", "sda", "--seed", "-1"], "--seed must be an integer >= 0, got -1"),
+    (["solve", "--mode", "sda", "--iters", "0"], "--iters must be an integer >= 1, got 0"),
+    (["sda", "--seed", "-2"], "--seed must be an integer >= 0, got -2"),
+    (["sda", "--iters", "0"], "--iters must be an integer >= 1, got 0"),
+    (["sample-instance", "--n", "2", "--k", "2", "--seed", "-1"],
+     "--seed must be an integer >= 0, got -1"),
+    (["bench", "--grid", "2:2", "--seeds=-1"], "--seeds must be an integer >= 0, got -1"),
+    (["bench", "--grid", "2:2", "--seeds", "1,-3"],
+     "--seeds must be an integer >= 0, got -3")],
+    ids=["solve-sda-seed", "solve-sda-iters", "sda-seed", "sda-iters", "sample-seed",
+         "bench-seed", "bench-second-seed"])
+def test_bad_seed_or_iters_exits_one_before_loading(tmp_path, capsys, monkeypatch,
+                                                   argv, message):
+    def never(*args, **kwargs):
+        raise AssertionError("built an instance")
+
+    monkeypatch.setattr(cli, "load_instance", never)
+    monkeypatch.setattr(cli, "sample_document", never)
+    if argv[0] in ("solve", "sda"):
+        argv = argv + ["--instance", str(tmp_path / "missing.json")]
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_solve_dual_ignores_sda_options(ex5_file):
+    assert main(["solve", "--instance", ex5_file, "--iters", "0", "--seed", "-1"]) == 0
+
+
 @pytest.mark.parametrize("flag", ["--instance", "--out"])
 def test_solve_directory_path_exits_one(tmp_path, ex5_file, capsys, flag):
     argv = {"--instance": ex5_file, "--out": str(tmp_path / "res.json")}

@@ -18,9 +18,13 @@ from fisher_fair.dual_solver import (
     _CURVATURE_GAP,
     _CURVATURE_MU,
     _FEW_BUYERS_LEVELS,
+    _SMOOTH_DECREMENT,
+    _SMOOTH_ITERS,
     _SMOOTH_MUS,
+    _free_newton_step,
     _smoothed_dual,
     _smoothed_start,
+    _smoothed_value,
     _smoothing_cells,
     _split_winning_ties,
     allocation_from_beta,
@@ -463,10 +467,10 @@ def _exact_phase(inst, monkeypatch):
             iterations[-1]["trials"].append(beta.copy())
         return evaluate(instance, beta)
 
-    def recording_smoothed(instance, cells, beta, mu, hessian=True):
+    def recording_smoothed(instance, cells, beta, mu):
         if started:
             curvature.append((mu, beta.copy()))
-        return smoothed(instance, cells, beta, mu, hessian=hessian)
+        return smoothed(instance, cells, beta, mu)
 
     def recording_newton(H, g, beta, lo, hi):
         step = newton(H, g, beta, lo, hi)
@@ -631,16 +635,72 @@ def test_smoothed_start_schedule_follows_buyers_per_segment(n, k, monkeypatch):
     # more (every crowded shape among them) visit every level
     inst = sample_instance(n, k, 7)
     seen = []
-    evaluate = dual_solver._smoothed_dual
 
-    def recording(instance, cells, beta, mu, hessian=True):
-        seen.append(mu)
-        return evaluate(instance, cells, beta, mu, hessian=hessian)
+    def recorder(evaluate):
+        def recording(instance, cells, beta, mu):
+            seen.append(mu)
+            return evaluate(instance, cells, beta, mu)
+        return recording
 
-    monkeypatch.setattr(dual_solver, "_smoothed_dual", recording)
+    for name in ("_smoothed_dual", "_smoothed_value"):
+        monkeypatch.setattr(dual_solver, name, recorder(getattr(dual_solver, name)))
     _smoothed_start(inst, _smoothing_cells(inst))
     levels = _FEW_BUYERS_LEVELS if n <= 2 * k else len(_SMOOTH_MUS)
     assert list(dict.fromkeys(seen)) == list(_SMOOTH_MUS[:levels])
+
+
+def _reference_smoothed_start(instance, cells):
+    """The smoothed start as it was before line-search trials skipped the
+    Hessian: every trial is evaluated with it.  Returns the start and the
+    number of steps taken."""
+    lo, hi = beta_bounds(instance)
+    mus = (_SMOOTH_MUS[:_FEW_BUYERS_LEVELS]
+           if instance.n <= 2 * instance.num_segments else _SMOOTH_MUS)
+    w, V = cells
+    beta = np.clip(instance.budgets.sum() / float(np.dot(w, V.max(axis=0))), lo, hi)
+    steps = 0
+    for mu in mus:
+        f, g, H = _smoothed_dual(instance, cells, beta, mu)
+        for _ in range(_SMOOTH_ITERS):
+            step = _free_newton_step(H, g, beta, lo, hi)
+            if -float(np.dot(g, step)) <= _SMOOTH_DECREMENT * mu:
+                break
+            alpha = 1.0
+            while alpha > 1e-10:
+                cand = np.clip(beta + alpha * step, lo, hi)
+                trial = _smoothed_dual(instance, cells, cand, mu)
+                if trial[0] <= f + 1e-4 * float(np.dot(g, cand - beta)):
+                    break
+                alpha *= 0.5
+            else:
+                break
+            beta = cand
+            f, g, H = trial
+            steps += 1
+    return beta, steps
+
+
+@pytest.mark.parametrize("n,k,mode", [(300, 5, "linear"), (80, 5, "quasilinear"),
+                                      (40, 1, "linear"), (50, 50, "linear"),
+                                      (7, 3, "quasilinear"), (2, 4, "linear")])
+def test_smoothed_start_builds_one_hessian_per_step(n, k, mode, monkeypatch):
+    # trials are evaluated without the Hessian, which is finished once at
+    # each accepted point and at each level's start; the start is the
+    # reference's to the bit
+    inst = sample_instance(n, k, 3, mode=mode)
+    cells = _smoothing_cells(inst)
+    want, steps = _reference_smoothed_start(inst, cells)
+    hessians = []
+    finish = dual_solver._smoothed_hessian
+
+    def recording(*args):
+        hessians.append(args[3])
+        return finish(*args)
+
+    monkeypatch.setattr(dual_solver, "_smoothed_hessian", recording)
+    assert np.array_equal(_smoothed_start(inst, cells), want)
+    levels = _FEW_BUYERS_LEVELS if n <= 2 * k else len(_SMOOTH_MUS)
+    assert len(hessians) == levels + steps
 
 
 # at most two buyers per segment, where the smoothed start stops early
@@ -790,8 +850,8 @@ def test_smoothed_dual_never_underflows(n, k, mode):
     inst, cells, beta = _smoothing_point(n, k, mode)
     with np.errstate(under="raise"):
         for mu in _SMOOTH_MUS + (_CURVATURE_MU,):
-            for hessian in (True, False):
-                _smoothed_dual(inst, cells, beta, mu, hessian=hessian)
+            for evaluate in (_smoothed_dual, _smoothed_value):
+                evaluate(inst, cells, beta, mu)
 
 
 def _hessian_term_scale(inst, cells, beta, mu):
@@ -817,4 +877,5 @@ def test_smoothed_dual_matches_blocked_reference(n, k, mode):
         scale = _hessian_term_scale(inst, cells, beta, mu)
         assert np.abs(H - H_r).max() <= 1e-12 * scale
         assert np.array_equal(H, H.T)
-        assert _smoothed_dual(inst, cells, beta, mu, hessian=False)[2] is None
+        f_v, g_v, _ = _smoothed_value(inst, cells, beta, mu)
+        assert f_v == f and np.array_equal(g_v, g)

@@ -78,6 +78,82 @@ def test_matches_reference_loop(name, iters):
     assert np.allclose(trace.beta_avg, beta_avg, rtol=0.0, atol=1e-12)
 
 
+def _clamped_reference(instance, iters, seed, beta_ref):
+    """The streamed loop as it was before the clamp could be skipped: every
+    iterate is clamped to the box.  Returns (checkpoints, beta, beta_avg,
+    sq_err)."""
+    n = instance.n
+    ref = np.asarray(beta_ref, dtype=float)
+    lower, upper = beta_bounds(instance)
+    ct, dt = instance.c.T, instance.d.T
+    rng = np.random.default_rng(seed)
+    checkpoints = _checkpoint_list(iters)
+    G = [0.0] * n
+    Bl = instance.budgets.tolist()
+    ratio = np.full(n, np.inf)
+    beta_sum = np.zeros(n)
+    betas = np.empty((_BLOCK + 1, n))
+    betas[0] = upper
+    rows = list(betas)
+    out_beta = np.zeros((checkpoints.size, n))
+    out_avg = np.zeros((checkpoints.size, n))
+    sq = np.zeros(checkpoints.size)
+    t = 0
+    for r, stop in enumerate(checkpoints):
+        while t < stop:
+            m = min(_BLOCK, int(stop) - t)
+            thetas = rng.random(m)
+            seg = instance.grid.locate(thetas)
+            values = ct[seg] * thetas[:, None] + dt[seg]
+            for j, vals in enumerate(values):
+                w = (rows[j] * vals).argmax()
+                g = G[w] + vals.item(w)
+                G[w] = g
+                ratio[w] = Bl[w] / g if g > 0.0 else np.inf
+                row = rows[j + 1]
+                np.multiply(ratio, t + j + 1, out=row)
+                np.minimum(row, upper, out=row)
+                np.maximum(row, lower, out=row)
+            beta_sum += betas[:m].sum(axis=0)
+            betas[0] = betas[m]
+            t += m
+        out_beta[r] = betas[0]
+        avg = beta_sum / t
+        out_avg[r] = avg
+        diff = avg - ref
+        sq[r] = float(np.dot(diff, diff))
+    return checkpoints, out_beta, out_avg, sq
+
+
+# instances on which each bound of the clamp binds
+_CLAMP_INSTANCES = {
+    # 9 of the 40 buyers never win and sit at their upper bound
+    "never_wins_quasilinear_40x1": lambda: sample_instance(40, 1, seed=0,
+                                                           mode="quasilinear"),
+    # lower = upper = 1: both halves of the clamp bind at every step
+    "single_buyer": lambda: build_instance([1.0], [0, 1], [[0.8]], [[0.6]]),
+    "zero_values": _EQUIVALENCE_INSTANCES["zero_values"],
+    "linear_300x5": _EQUIVALENCE_INSTANCES["linear_300x5"],
+}
+
+
+@pytest.mark.parametrize("iters", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                   3 * _BLOCK + 7, 20000])
+@pytest.mark.parametrize("name", sorted(_CLAMP_INSTANCES))
+def test_skipped_clamp_bit_identical(name, iters):
+    inst = _CLAMP_INSTANCES[name]()
+    lo, hi = beta_bounds(inst)
+    ref = 0.5 * (lo + hi)
+    trace = sda_run(inst, iters, seed=5, beta_ref=ref)
+    checkpoints, beta, beta_avg, sq_err = _clamped_reference(inst, iters, 5, ref)
+    assert np.array_equal(trace.checkpoints, checkpoints)
+    assert np.array_equal(trace.beta, beta)
+    assert np.array_equal(trace.beta_avg, beta_avg)
+    assert np.array_equal(trace.sq_err, sq_err)
+    if name.startswith("never_wins"):
+        assert (beta == hi).all(axis=0).sum() >= 9
+
+
 def test_memory_independent_of_iters():
     # an (n, T) array of sample values alone would take 48 MB here
     inst = sample_instance(300, 5, seed=1)
@@ -95,6 +171,12 @@ def test_memory_independent_of_iters():
 def test_bad_iters_raise_validation_error(example5, iters):
     with pytest.raises(ValidationError, match="iters"):
         sda_run(example5, iters, seed=0)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3", None])
+def test_bad_seed_raises_validation_error(example5, seed):
+    with pytest.raises(ValidationError, match="seed"):
+        sda_run(example5, 10, seed)
 
 
 def test_numpy_integer_iters(example5):

@@ -19,8 +19,9 @@ document it records:
   corners of ``beta_bounds`` and at five seeded perturbations of the solved
   beta by up to 3%, so envelopes that the solver never visits count too;
 
-on crowded documents ``sda``: ``allocation_from_beta`` at the average of an
-SDA run of the benchmark's length and seed; and on crosscheck documents
+on crowded documents ``sda``: the checkpoints, iterates and averages of an
+SDA run of the benchmark's length and seed, and ``allocation_from_beta`` at
+its last average; and on crosscheck documents
 ``ellipsoid``: ``ellipsoid_solve(inst, 1e-4, collect_log=True)``, log
 included, and ``oracle``: beta, u, rounds and cells of
 ``discretized_oracle`` at the benchmark's cell count, or its ``NotConverged``
@@ -133,9 +134,10 @@ def _records(lib, wl, workload, seed, tmp):
         if case.kind == "crowded":
             sda_seed = wl.instance_seed(seed, workload, len(docs) + i)
             trace = lib.sda.sda_run(inst, wl.SDA_SAMPLES, sda_seed)
-            avg = trace.beta_avg[-1]
-            res = lib.dual_solver.allocation_from_beta(inst, avg)
-            yield "sda", key, {"beta_avg": list(map(float, avg)),
+            res = lib.dual_solver.allocation_from_beta(inst, trace.beta_avg[-1])
+            yield "sda", key, {"trace.checkpoints": trace.checkpoints.tolist(),
+                               "trace.beta": trace.beta.tolist(),
+                               "trace.beta_avg": trace.beta_avg.tolist(),
                                **_checked(lib, wl, inst, res)}
         elif case.kind == "crosscheck":
             res = lib.ellipsoid.ellipsoid_solve(inst, wl.ELLIPSOID_EPS,
