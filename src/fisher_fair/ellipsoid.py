@@ -1,17 +1,24 @@
 """Ellipsoid method on the perturbed per-segment utility program.
 
-The working vector is y = (uhat, s, t): the rescaled per-segment utilities
-uhat_kj (sorted per segment, one per active buyer) and one (s, t) pair per
-adjacent sorted pair of a segment.  The rest of the program's variables are
-exact linear images of y and are not coordinates: useg_ik = lam_ik * uhat_kj,
-u_i = sum_k useg_ik and (z, w) = G(s, t); ``PerturbedSystem.expand`` returns
-them all.  The rows are the program's constraints written through those
-links:
+The working vector is y = (s, t): one (s, t) pair per adjacent sorted pair of
+a segment's active buyers, with every s first and every t after them, so the
+dimension is twice the number of pairs.  The program's other variables are
+affine images of y and are not coordinates: (z, w) = G(s, t) per pair, and
+each rescaled per-segment utility uhat_kj is its chain bound enlarged by
+eps_internal,
 
-* u_i <= 1 and u_i >= min(B_i, eps_internal / 2), on sum_k lam_ik uhat_kj;
-* uhat >= 0;
-* the chain uhat_0 <= z_0, uhat_j <= z_j + w_(j-1), uhat_(m-1) <= 1 + w_(m-2),
-  each enlarged by eps_internal so the region contains a ball;
+* uhat_0 = z_0 + e, uhat_j = z_j + w_(j-1) + e for a middle buyer and
+  uhat_(m-1) = 1 + w_(m-2) + e on a segment with m >= 2 active buyers,
+* uhat = 1 + e for a buyer alone on its segment,
+
+so useg_ik = lam_ik * uhat_kj and u = E_u y + u_0; ``PerturbedSystem.expand``
+returns them all.  The objective increases in every uhat, so at the
+optimum of the program with free uhat every enlarged chain row is tight:
+setting uhat to its bound loses nothing, and the chain rows, uhat >= 0 (the
+boxes and the order rows imply it) and u <= 1 (the boxes imply
+u <= 1 + e) go with the free coordinates.  The rows left are
+
+* u_i >= min(B_i, eps_internal / 2);
 * the order rows z_j + w_(j-1) >= 0 for the middle buyers (a buyer's
   interval has nonnegative value, so the cuts stay in order);
 * the boxes 0 <= z <= 1, -1 <= w <= 0, 0 <= s <= 1 and 0 <= t <= 1;
@@ -21,7 +28,8 @@ The objective f(y) = -sum_i B_i log u_i is minimized by deep cuts:
 
 * separation oracle: most-violated linear row, else the tangent hyperplane
   with normal (2 s0, -1) at a violated parabola pair, else "inside";
-* first-order oracle: f(y) and its gradient E_u' (-B / u) from one u = E_u y.
+* first-order oracle: f(y) and its gradient E_u' (-B / u) from one
+  u = E_u y + u_0.
 
 Each cut keeps only the half-space its constraint implies, so it reaches past
 the center by the violation depth (Bland, Goldfarb & Todd 1981): the row
@@ -55,7 +63,7 @@ from .errors import NumericalBreakdown, ValidationError
 # ellipsoid.partition_segment
 from .feasible import greedy_cuts, membership, normalize_segment, partition_segment  # noqa: F401
 from .market import MarketInstance, cut  # noqa: F401
-from .dual_solver import EquilibriumResult, duality_gap, pure_allocation
+from .dual_solver import EquilibriumResult, _merge_twins, duality_gap, pure_allocation
 
 _CAP_MULTIPLIER = 4.0
 _EPS_MARGIN = 256.0
@@ -66,12 +74,12 @@ _SLOP = 10.0                  # phantom utility the enlarged rows allow, in eps_
 
 @dataclass
 class PerturbedSystem:
-    """Enlarged linear system A y <= b plus exact parabola pairs, in
-    y = (uhat, s, t).
+    """Linear rows A y <= b plus exact parabola pairs, in y = (s, t).
 
-    uhat fills y[:num_slots] in ``slots`` order, one (k, j, i) per
-    coordinate; s and t then fill one block each in ``pairs`` order, one
-    (k, j) per pair, so the parabola pairs are (s_block[p], t_block[p]).
+    s fills y[s_block] and t fills y[t_block], one (k, j) per pair in
+    ``pairs`` order, so the parabola pairs are (s_block[p], t_block[p]).
+    Each active buyer of each segment has one slot (k, j, i) in ``slots``
+    order, whose exact chain bound is ``chain_map @ y + chain_const``.
     """
 
     instance: MarketInstance
@@ -80,34 +88,44 @@ class PerturbedSystem:
     b: np.ndarray
     segments: list
     dim: int
-    slots: list               # (k, j, i) per uhat coordinate
+    slots: list               # (k, j, i) per active buyer of a segment
     pairs: list               # (k, j) per adjacent sorted pair
-    u_map: np.ndarray         # (n, dim): u = u_map @ y
+    chain_map: np.ndarray     # (slots, dim): exact chain bound of each slot
+    chain_const: np.ndarray   # (slots,)
+    u_map: np.ndarray         # (n, dim): u = u_map @ y + u_const
+    u_const: np.ndarray       # (n,)
     G_rows: np.ndarray        # (pairs, 4): z = a s + b t, w = c s + d t
-    num_slots: int            # y[:num_slots] is uhat
     s_block: slice            # s of every pair, in ``pairs`` order
     t_block: slice            # t of every pair
+
+    def chain(self, y) -> np.ndarray:
+        """Exact chain bound of every slot; uhat is this plus eps_internal."""
+        return self.chain_map @ y + self.chain_const
+
+    def per_segment(self, uhat) -> np.ndarray:
+        """(n, K) utilities lam_ik * uhat of slot values in ``slots`` order."""
+        inst = self.instance
+        useg = np.zeros((inst.n, inst.num_segments))
+        for p, (k, _, i) in enumerate(self.slots):
+            useg[i, k] = float(self.segments[k].lam[i]) * uhat[p]
+        return useg
 
     def expand(self, y) -> dict:
         """Named parts of the full vector: u (n,), useg (n, K), uhat, and s,
         t, z, w aligned with ``pairs``."""
         y = np.asarray(y, dtype=float)
-        inst = self.instance
-        uhat = y[:self.num_slots]
-        useg = np.zeros((inst.n, inst.num_segments))
-        for p, (k, _, i) in enumerate(self.slots):
-            useg[i, k] = float(self.segments[k].lam[i]) * uhat[p]
+        uhat = self.chain(y) + self.eps_internal
         s, t = y[self.s_block], y[self.t_block]
         G = self.G_rows
-        return {"u": useg.sum(axis=1), "useg": useg, "uhat": uhat.copy(),
-                "s": s.copy(), "t": t.copy(),
+        return {"u": self.u_map @ y + self.u_const, "useg": self.per_segment(uhat),
+                "uhat": uhat, "s": s.copy(), "t": t.copy(),
                 "z": G[:, 0] * s + G[:, 1] * t, "w": G[:, 2] * s + G[:, 3] * t}
 
 
 def build_perturbed_system(instance: MarketInstance,
                            eps_internal: float) -> PerturbedSystem:
-    """The rows of the module docstring, built directly in y; a segment no
-    buyer values has no coordinates and no rows."""
+    """The rows of the module docstring, built directly in y; a segment with
+    fewer than two active buyers has no coordinates and no rows."""
     n = instance.n
     e = eps_internal
     segments = [normalize_segment(instance, k) for k in range(instance.num_segments)]
@@ -115,78 +133,61 @@ def build_perturbed_system(instance: MarketInstance,
              for j, i in enumerate(seg.order)]
     pairs = [(k, j) for k, seg in enumerate(segments)
              for j in range(seg.num_active - 1)]
-    S, P = len(slots), len(pairs)
-    dim = S + 2 * P
-    u_map = np.zeros((n, dim))
-    for p, (k, _, i) in enumerate(slots):
-        u_map[i, p] = segments[k].lam[i]
+    P = len(pairs)
+    dim = 2 * P
     G_rows = np.zeros((P, 4))
     for p, (k, j) in enumerate(pairs):
         (za, zb), (wa, wb) = segments[k].G(j)
         G_rows[p] = za, zb, wa, wb
+    eye = np.eye(dim)
+    Z = G_rows[:, :1] * eye[:P] + G_rows[:, 1:2] * eye[P:]     # z = Z @ y
+    W = G_rows[:, 2:3] * eye[:P] + G_rows[:, 3:4] * eye[P:]    # w = W @ y
 
+    chain_map = np.zeros((len(slots), dim))
+    chain_const = np.zeros(len(slots))
     rows = []
     rhs = []
-
-    def leq(terms, bound):
-        """sum of coef * y[col] over (col, coef) terms <= bound."""
-        row = np.zeros(dim)
-        for col, coef in terms:
-            row[col] += coef
-        rows.append(row)
-        rhs.append(bound)
-
-    def link(name, p, sign=1.0):
-        """Terms of sign * z (name "z") or sign * w (name "w") of pair p in y."""
-        a, b = G_rows[p, (0, 1) if name == "z" else (2, 3)]
-        return [(S + p, sign * a), (S + P + p, sign * b)]
-
-    B = instance.budgets
-    for i in range(n):
-        u_terms = [(col, u_map[i, col]) for col in np.flatnonzero(u_map[i])]
-        leq(u_terms, 1.0)
-        leq([(col, -v) for col, v in u_terms], -min(B[i], e / 2.0))
-    u0 = p0 = 0                   # the segment's first uhat and first pair
+    q = p0 = 0                    # the segment's first slot and first pair
     for seg in segments:
         m = seg.num_active
-        for j in range(m):
-            leq([(u0 + j, -1.0)], 0.0)
         if m == 1:
-            leq([(u0, 1.0)], 1.0 + e)
+            chain_const[q] = 1.0
         elif m > 1:
-            leq([(u0, 1.0)] + link("z", p0, -1.0), e)
+            chain_map[q] = Z[p0]
             for j in range(1, m - 1):
-                # -(value of buyer j's interval) = -(z_j + w_(j-1))
-                interval = link("z", p0 + j, -1.0) + link("w", p0 + j - 1, -1.0)
-                leq([(u0 + j, 1.0)] + interval, e)
-                leq(interval, 0.0)
-            leq([(u0 + m - 1, 1.0)] + link("w", p0 + m - 2, -1.0), 1.0 + e)
+                # the value of buyer j's interval, z_j + w_(j-1), is >= 0
+                chain_map[q + j] = Z[p0 + j] + W[p0 + j - 1]
+                rows.append(-chain_map[q + j])
+                rhs.append(0.0)
+            chain_map[q + m - 1] = W[p0 + m - 2]
+            chain_const[q + m - 1] = 1.0
             for p in range(p0, p0 + m - 1):
-                leq(link("z", p), 1.0)
-                leq(link("z", p, -1.0), 0.0)
-                leq(link("w", p), 0.0)
-                leq(link("w", p, -1.0), 1.0)
-                leq([(S + p, 1.0)], 1.0)
-                leq([(S + p, -1.0)], 0.0)
-                leq([(S + P + p, 1.0)], 1.0)
-                leq([(S + P + p, -1.0)], 0.0)
+                s, t = eye[p], eye[P + p]
+                rows += [Z[p], -Z[p], W[p], -W[p], s, -s, t, -t]
+                rhs += [1.0, 0.0, 0.0, 1.0, 1.0, 0.0, 1.0, 0.0]
             p0 += m - 1
-        u0 += m
+        q += m
+    owner = np.array([i for _, _, i in slots], dtype=int)
+    lam = np.array([segments[k].lam[i] for k, _, i in slots])
+    u_map = np.zeros((n, dim))
+    np.add.at(u_map, owner, lam[:, None] * chain_map)
+    u_const = np.bincount(owner, weights=lam * (chain_const + e), minlength=n)
     return PerturbedSystem(
-        instance=instance, eps_internal=e, A=np.asarray(rows), b=np.asarray(rhs),
-        segments=segments, dim=dim, slots=slots, pairs=pairs, u_map=u_map,
-        G_rows=G_rows, num_slots=S, s_block=slice(S, S + P),
-        t_block=slice(S + P, dim))
+        instance=instance, eps_internal=e,
+        A=np.vstack([-u_map, np.array(rows).reshape(len(rows), dim)]),
+        b=np.concatenate([u_const - np.minimum(instance.budgets, e / 2.0), rhs]),
+        segments=segments, dim=dim, slots=slots, pairs=pairs,
+        chain_map=chain_map, chain_const=chain_const, u_map=u_map,
+        u_const=u_const, G_rows=G_rows, s_block=slice(0, P),
+        t_block=slice(P, dim))
 
 
 def feasible_start(system: PerturbedSystem) -> np.ndarray:
-    """Uniform-split point: every buyer gets just under 1/n of each segment
-    (strictly inside u <= 1 also for one buyer); (s, t) come from the greedy
-    cut points of 1/n each, with t nudged strictly inside the parabola
-    epigraph."""
+    """Uniform-split point: (s, t) come from the greedy cut points of 1/n
+    each, with t nudged strictly inside the parabola epigraph, so every
+    active buyer's chain bound is about 1/n or more on every segment."""
     n = system.instance.n
     y = np.zeros(system.dim)
-    y[:system.num_slots] = 1.0 / n - system.eps_internal / 2.0
     s = []
     for seg in system.segments:
         points, _, _ = greedy_cuts(seg.c_hat, seg.d_hat, seg.order,
@@ -225,9 +226,10 @@ def separation_oracle(system: PerturbedSystem, y):
 
 def first_order_oracle(system: PerturbedSystem, y):
     """(f(y), E_u' (-B / u)): the value and gradient of -sum_i B_i log u_i
-    in y, from one u = E_u y, E_u = ``u_map``."""
+    in y, from one u = E_u y + u_0, E_u = ``u_map`` and u_0 = ``u_const``."""
     B = system.instance.budgets
     u = system.u_map @ y
+    u += system.u_const
     return float(-np.dot(B, np.log(u))), (-B / u) @ system.u_map
 
 
@@ -254,22 +256,19 @@ class EllipsoidResult(EquilibriumResult):
 
 
 def _discounted_utilities(system: PerturbedSystem, y):
-    """Per-segment utilities lam * uhat after uhat drops by one eps_internal.
+    """Per-segment utilities lam * max(chain, 0): uhat dropped by one
+    eps_internal to its exact chain bound.
 
-    Only the chain rows are enlarged; (z, w) = G(s, t), the boxes, the order
-    rows and t >= s^2 hold exactly at a point inside the region.  Dropping
-    uhat by the chain's enlargement leaves the exact chain, and clipping at
-    zero keeps it because the order rows make every buyer's z_j + w_(j-1)
-    nonnegative.  The exact chain describes the segment's feasible set: the
-    parabola point with the same w as a pair (it exists, as -1 <= w <= 0)
-    has a z at least as large, so the cuts at those points come in order and
-    give every buyer an interval worth at least its discounted uhat.  Any
-    greedy-cut failure left is roundoff, which _clip_to_membership absorbs.
+    (z, w) = G(s, t), the boxes, the order rows and t >= s^2 hold exactly at
+    a point inside the region, and the chain bounds are nonnegative there
+    (the order rows make every middle buyer's z_j + w_(j-1) so).  The exact
+    chain describes the segment's feasible set: the parabola point with the
+    same w as a pair (it exists, as -1 <= w <= 0) has a z at least as large,
+    so the cuts at those points come in order and give every buyer an
+    interval worth at least its chain bound.  Any greedy-cut failure left is
+    roundoff, which _clip_to_membership absorbs.
     """
-    y = np.array(y, dtype=float)
-    S = system.num_slots
-    y[:S] = np.maximum(y[:S] - system.eps_internal, 0.0)
-    return system.expand(y)["useg"]
+    return system.per_segment(np.maximum(system.chain(np.asarray(y, dtype=float)), 0.0))
 
 
 def _clip_to_membership(seg, u_col):
@@ -286,41 +285,89 @@ def _clip_to_membership(seg, u_col):
     return out
 
 
+def _result(instance, system, group, point, converged, eps, **record):
+    """EllipsoidResult of ``instance`` at a point of the run on the market
+    ``system.instance``, whose buyer ``group[i]`` holds buyer i and its twins.
+
+    The point's utilities are discounted, clipped and pruned per group; every
+    twin takes the share B_i / B_group of its group's utilities, which
+    ``pure_allocation`` cuts in ``instance``, and its group's beta.  The gap
+    is that of ``instance``, and ``certified`` holds when the run
+    ``converged`` and the gap is at most eps.
+    """
+    market = system.instance
+    useg = _discounted_utilities(system, point)
+    # pure_allocation's strict partition rejects a column still infeasible
+    for k, seg in enumerate(system.segments):
+        useg[:, k] = _clip_to_membership(seg, useg[:, k])
+    # the enlarged constraints let every u_ik carry a phantom slop of a few
+    # internal epsilons even in segments the buyer does not win; a pure
+    # allocation must not hand such buyers slivers of other winners' regions.
+    # Only slop is pruned: beta_rough is itself off by about eps, so a real
+    # winning sliver can vanish from its envelope and must be kept.
+    Bm = market.budgets
+    bounds = beta_bounds(market)
+    u_rough = useg.sum(axis=1)
+    if np.all(u_rough > 0):
+        beta_rough = np.clip(Bm / u_rough, *bounds)
+        wmat = dual_subgradient(market, beta_rough)[2]
+        useg[(wmat <= 1e-12) & (useg <= _SLOP * system.eps_internal)] = 0.0
+    B = instance.budgets
+    allocation, useg = pure_allocation(instance, useg[group] * (B / Bm[group])[:, None])
+    u = useg.sum(axis=1)
+    u_group = np.bincount(group, weights=u)
+    beta = np.clip(Bm / np.maximum(u_group, 1e-300), *bounds)[group]
+    psi, _, _, env = dual_subgradient(instance, beta)
+    gap = duality_gap(instance, beta, psi, u)[0]
+    return EllipsoidResult(
+        beta=beta, u=u, useg=useg, allocation=allocation, prices=env,
+        gap=float(gap), mode=instance.mode, certified=bool(converged and gap <= eps),
+        eps=eps, **record)
+
+
 def ellipsoid_solve(instance: MarketInstance, eps: float,
                     collect_log: bool = False) -> EllipsoidResult:
     """Run the ellipsoid method to utility accuracy ~eps and extract a pure
     allocation; linear mode only.
 
-    The ellipsoid runs in y = (uhat, s, t), the other variables being exact
-    linear images of y, so only the chain rows are enlarged.  The
-    perturbation argument enlarges them by eps / (2 kappa + K + 1), kappa =
-    1 / min B: a point within that much of the enlarged optimum, with uhat
-    discounted by one enlargement back to exact feasibility, loses at most
-    sum_k lam_ik times it = one enlargement of u_i per buyer, so its
-    objective is within eps of the true optimum.  The run enlarges, and
-    targets the objective, _EPS_MARGIN times tighter, because the utilities
-    (and with them the cut points of the extracted allocation) err by about
-    the square root of the objective error.  With the reduced rows a margin
-    of 16 let check_equilibrium(tol=10 eps) fail on 4 of 60 random 2x3, 3x2
-    and 3x3 instances, 64 on 2 and 256 on 1 (a documented limit, README).
-    ``certified`` holds only when
-    the running lower bound has closed to eps_internal and the returned
-    allocation's own duality gap is at most eps; the gap bounds the
-    objective error from above, so a certified result meets the perturbation
-    argument's bound.
+    Twins (buyers with equal ``c`` and ``d`` rows) are merged into one buyer
+    with their summed budget, as in ``dual_solver.solve``; the run is on the
+    merged market and the result, its gap and its certificate are those of
+    ``instance`` (``_result``).  The ellipsoid runs in y = (s, t), and every
+    rescaled utility sits on its chain bound enlarged by eps / (2 kappa + K
+    + 1), kappa = 1 / min B.  The perturbation argument: a point within that
+    much of the enlarged optimum, with uhat discounted by one enlargement
+    back to exact feasibility, loses at most sum_k lam_ik times it = one
+    enlargement of u_i per buyer, so its objective is within eps of the true
+    optimum.  The run enlarges, and targets the objective, _EPS_MARGIN times
+    tighter, because the utilities (and with them the cut points of the
+    extracted allocation) err by about the square root of the objective
+    error.  In y = (uhat, s, t) a margin of 16 let
+    check_equilibrium(tol=10 eps) fail on 4 of 60 random 2x3, 3x2 and 3x3
+    instances, 64 on 2 and 256 on 1 (a documented limit, README).  A market in which no segment has two active
+    buyers has no coordinates: each segment goes whole to its one buyer with
+    no oracle call.  ``certified`` holds only when the running lower bound
+    has closed to eps_internal and the returned allocation's own duality gap
+    is at most eps; the gap bounds the objective error from above, so a
+    certified result meets the perturbation argument's bound.
     """
     if not (0.0 < eps < 1.0):
         raise ValidationError("eps must lie in (0, 1)")
     if instance.mode != "linear":
         raise ValidationError("the ellipsoid solver handles linear mode only")
-    B = instance.budgets
-    bounds = beta_bounds(instance)
-    kappa = 1.0 / float(B.min())
-    K = instance.num_segments
+    market, group = _merge_twins(instance)
+    if group is None:
+        group = np.arange(instance.n)
+    kappa = 1.0 / float(market.budgets.min())
+    K = market.num_segments
     eps_internal = eps / (_EPS_MARGIN * (2.0 * kappa + K + 1.0))
-    system = build_perturbed_system(instance, eps_internal)
+    system = build_perturbed_system(market, eps_internal)
     d = system.dim
     c = feasible_start(system)    # the center, updated in place
+    if d == 0:
+        return _result(instance, system, group, c, True, eps, iterations=0,
+                       objective=first_order_oracle(system, c)[0],
+                       call_budget=0, dim=0, log=[])
     radius = 2.0 * math.sqrt(d)
     iteration = 0
     best_objective, best_point = math.inf, None
@@ -385,50 +432,21 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
         tau = 2.0 * (1.0 + d * alpha) / ((d + 1) * (1.0 + alpha))
         c -= np.multiply(Qg, ((1.0 + d * alpha) / (d + 1)) * math.sqrt(scale / gQg),
                          out=step)
-        if d == 1:
-            # an interval: the cut keeps a (1 - alpha) / 2 share of it, and
-            # the general update's factor d^2 / (d^2 - 1) is undefined
-            scale *= 0.25 * (1.0 - alpha) ** 2
-            if collect_log:
-                logdet_half += math.log(0.5 * (1.0 - alpha))
-        else:
-            np.multiply(Qg, math.sqrt(tau / gQg), out=W[rank])
-            rank += 1
-            if rank == _FOLD:
-                Q -= W.T @ W
-                rank = 0
-            grow = d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
-            scale *= grow
-            if collect_log:
-                logdet_half += 0.5 * (d * math.log(grow) + math.log(
-                    (d - 1) * (1.0 - alpha) / ((d + 1) * (1.0 + alpha))))
+        np.multiply(Qg, math.sqrt(tau / gQg), out=W[rank])
+        rank += 1
+        if rank == _FOLD:
+            Q -= W.T @ W
+            rank = 0
+        grow = d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
+        scale *= grow
+        if collect_log:
+            logdet_half += 0.5 * (d * math.log(grow) + math.log(
+                (d - 1) * (1.0 - alpha) / ((d + 1) * (1.0 + alpha))))
         if collect_log:
             log.append((iteration, int(feasible), fval, kind, logdet_half))
-    certified = best_objective - lower_bound <= eps_internal
     if best_point is None:
         raise NumericalBreakdown("no feasible center was ever observed")
-    useg = _discounted_utilities(system, best_point)
-    # pure_allocation's strict partition rejects a column still infeasible
-    for k, seg in enumerate(system.segments):
-        useg[:, k] = _clip_to_membership(seg, useg[:, k])
-    # the enlarged constraints let every u_ik carry a phantom slop of a few
-    # internal epsilons even in segments the buyer does not win; a pure
-    # allocation must not hand such buyers slivers of other winners' regions.
-    # Only slop is pruned: beta_rough is itself off by about eps, so a real
-    # winning sliver can vanish from its envelope and must be kept.
-    u_rough = useg.sum(axis=1)
-    if np.all(u_rough > 0):
-        beta_rough = np.clip(B / u_rough, *bounds)
-        wmat = dual_subgradient(instance, beta_rough)[2]
-        useg[(wmat <= 1e-12) & (useg <= _SLOP * eps_internal)] = 0.0
-    allocation, useg = pure_allocation(instance, useg)
-    u = useg.sum(axis=1)
-    beta = np.clip(B / np.maximum(u, 1e-300), *bounds)
-    psi, _, _, env = dual_subgradient(instance, beta)
-    gap = duality_gap(instance, beta, psi, u)[0]
-    certified = certified and gap <= eps
-    return EllipsoidResult(
-        beta=beta, u=u, useg=useg, allocation=allocation, prices=env,
-        gap=float(gap), iterations=iteration, mode=instance.mode,
-        objective=float(best_objective), call_budget=budget, dim=d,
-        certified=bool(certified), eps=eps, log=log)
+    return _result(instance, system, group, best_point,
+                   best_objective - lower_bound <= eps_internal, eps,
+                   iterations=iteration, objective=float(best_objective),
+                   call_budget=budget, dim=d, log=log)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fisher_fair import build_instance
-from fisher_fair.sampling import sample_instance
+from fisher_fair.sampling import sample_document, sample_instance
 
 # four buyers with linear valuations on [0, 1]; budgets and intercepts chosen
 # so the equilibrium is known to four digits (see test_acceptance)
@@ -44,6 +44,16 @@ def example6_document():
         "c": [row[:] for row in EX6_C],
         "d": [row[:] for row in EX6_D],
     }
+
+
+def twins_document(s, mode="linear"):
+    """sample_document(2 + s % 3, 1 + (s // 3) % 3, s) with buyer 1 made a
+    copy of buyer 0 and its budget scaled by U(0.2, 3)."""
+    doc = sample_document(2 + s % 3, 1 + (s // 3) % 3, s, mode=mode)
+    doc["c"][1] = list(doc["c"][0])
+    doc["d"][1] = list(doc["d"][0])
+    doc["budgets"][1] = doc["budgets"][0] * np.random.default_rng(s).uniform(0.2, 3)
+    return doc
 
 
 @pytest.fixture(scope="session")

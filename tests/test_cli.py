@@ -231,11 +231,11 @@ def test_ellipsoid_command_with_log(tmp_path, capsys):
     rows = list(csv.reader(open(log)))
     assert rows[0] == ["iteration", "feasible", "objective", "cut", "volume_proxy"]
     assert len(rows) > 10
-    # 2 buyers on 2 segments: y = (uhat, s, t) has 2 * (2 + 1 + 1) coordinates
+    # 2 buyers on 2 segments: y = (s, t) has 2 coordinates per segment
     doc = json.loads(out.read_text())
-    assert doc["dim"] == 8
+    assert doc["dim"] == 4
     printed = capsys.readouterr().out
-    assert f"(budget {doc['call_budget']}), dim 8, certified=True" in printed
+    assert f"(budget {doc['call_budget']}), dim 4, certified=True" in printed
 
 
 def test_verify_flags_bad_result(tmp_path, ex5_file):

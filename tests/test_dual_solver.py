@@ -34,10 +34,10 @@ from fisher_fair.dual_solver import (
 )
 from fisher_fair.envelope import beta_bounds
 from fisher_fair.market import load_instance
-from fisher_fair.sampling import sample_document, sample_instance
+from fisher_fair.sampling import sample_instance
 from fisher_fair.sda import sda_run
 from fisher_fair.verification import check_equilibrium, discretized_oracle, fairness
-from tests.conftest import EX5_BETA, EX5_CUTS, EX5_U
+from tests.conftest import EX5_BETA, EX5_CUTS, EX5_U, twins_document
 
 
 def test_example5_golden(example5):
@@ -589,23 +589,13 @@ def test_merge_twins_groups_equal_rows(n, k, seed):
                        np.bincount(group, weights=twins.budgets), rtol=0, atol=0)
 
 
-def _twins_document(s, mode):
-    """sample_document(2 + s % 3, 1 + (s // 3) % 3, s) with buyer 1 made a
-    copy of buyer 0 and its budget scaled by U(0.2, 3)."""
-    doc = sample_document(2 + s % 3, 1 + (s // 3) % 3, s, mode=mode)
-    doc["c"][1] = list(doc["c"][0])
-    doc["d"][1] = list(doc["d"][0])
-    doc["budgets"][1] = doc["budgets"][0] * np.random.default_rng(s).uniform(0.2, 3)
-    return doc
-
-
 @pytest.mark.parametrize("mode", ["linear", "quasilinear"])
 def test_identical_buyers_certify(mode):
     # before twins were solved as one buyer, solve raised NotConverged on 28
     # of these 40 linear markets and 14 of the quasilinear ones: the optimum
     # sits on the kink beta_0 = beta_1, which Newton reaches only to ~1e-8
     for s in range(1000, 1040):
-        inst = load_instance(_twins_document(s, mode))
+        inst = load_instance(twins_document(s, mode))
         _assert_certified_and_checked(inst)
         res = solve(inst)
         assert res.beta[0] == res.beta[1]

@@ -11,8 +11,10 @@ from fisher_fair.ellipsoid import (
     separation_oracle,
 )
 from fisher_fair.feasible import membership, normalize_segment
+from fisher_fair.market import load_instance
 from fisher_fair.sampling import sample_instance
 from fisher_fair.verification import check_equilibrium
+from tests.conftest import twins_document
 
 
 def small_system(example5):
@@ -22,14 +24,9 @@ def small_system(example5):
     return build_perturbed_system(example5, eps_int)
 
 
-def _uhat_of(system, i, k=0):
-    """Index in y of buyer i's rescaled utility on segment k."""
+def _slot_of(system, i, k=0):
+    """Slot of buyer i on segment k: its row of ``chain_map``."""
     return [(kk, ii) for kk, _, ii in system.slots].index((k, i))
-
-
-def _uhat_at(system, k, j):
-    """Index in y of the j-th sorted rescaled utility of segment k."""
-    return [(kk, jj) for kk, jj, _ in system.slots].index((k, j))
 
 
 def _st_of(system, k, j):
@@ -40,18 +37,19 @@ def _st_of(system, k, j):
 
 def test_separation_tangent_normal(example5):
     # build a point whose only violation is the parabola pair (0.5, 0.1):
-    # every uhat at eps_internal (u_i = uhat_i here, so u sits above its lower
-    # bound) and every other (s, t) at zero keep every linear row satisfied
+    # every other (s, t) at zero puts every chain bound but the last two at
+    # zero (u_i = uhat_i = eps_internal here, above its lower bound) and
+    # keeps every linear row satisfied
     system = small_system(example5)
     y = np.zeros(system.dim)
-    y[:system.num_slots] = system.eps_internal
-    # last adjacent pair: its w only feeds the slack-rich final chain row
+    # last adjacent pair: its w only feeds the slack-rich final chain bound
     seg = system.segments[0]
     j = seg.num_active - 2
     s_idx, t_idx = _st_of(system, 0, j)
     y[s_idx], y[t_idx] = 0.5, 0.1
     full = system.expand(y)
-    assert np.allclose(full["u"], system.eps_internal)
+    assert np.allclose(full["u"][seg.order[:j]], system.eps_internal)
+    assert np.all(full["u"] >= system.eps_internal)
     assert np.allclose([full["z"][-1], full["w"][-1]], seg.G(j) @ [0.5, 0.1])
     result = separation_oracle(system, y)
     assert result is not None
@@ -71,21 +69,30 @@ def test_separation_interior_point(example5):
 def test_separation_linear_row(example5):
     system = small_system(example5)
     y = feasible_start(system)
-    # the row u_0 >= lb has coefficients -u_map[0]
+    # buyer 0 is second in order: its order row z_1 + w_0 >= 0 has
+    # coefficients -chain_map[slot] (as has its row u_0 >= lb, lam being 1,
+    # with a bound eps_internal / 2 looser)
+    slot = _slot_of(system, 0)
+    assert system.slots[slot][1] == 1
     row = next(r for r in range(system.A.shape[0])
-               if np.array_equal(system.A[r], -system.u_map[0]))
-    # u_0 = uhat of buyer 0 here; far below its lower bound, and the row's
-    # residual exceeds the uhat >= 0 row's by the bound itself
-    y[_uhat_of(system, 0)] = -5.0
-    assert system.expand(y)["u"][0] == pytest.approx(-5.0)
+               if np.array_equal(system.A[r], -system.chain_map[slot])
+               and system.b[r] == 0.0)
+    # (s_0, t_0) = (1, 1) puts w_0 on its bound -1, and s_1 = -5 with t_1 = 0
+    # gives buyer 0 (d_hat 1.2) z_1 = -6: its interval is worth -7, and the
+    # order row's residual exceeds the z_1 >= 0 row's by one and every other
+    # row's by more
+    y[:] = 0.0
+    y[list(_st_of(system, 0, 0))] = 1.0
+    y[_st_of(system, 0, 1)[0]] = -5.0
+    assert system.chain(y)[slot] == pytest.approx(-7.0)
     result = separation_oracle(system, y)
     assert result is not None
     g, kind, depth = result
     assert kind == "linear"
-    assert np.array_equal(g, -system.u_map[0])
+    assert np.array_equal(g, -system.chain_map[slot])
     assert np.allclose(g, system.A[row])
     assert depth == (system.A @ y - system.b)[row]
-    assert depth == pytest.approx(5.0 - system.b[row])
+    assert depth == pytest.approx(7.0 - system.b[row])
 
 
 def test_separation_linear_depth_is_row_residual(random_instance):
@@ -137,39 +144,46 @@ def test_separation_parabola_depth_first_violated_pair(random_instance):
 
 
 def test_first_order_oracle_values():
+    # uniform densities: the one pair has z = s and w = -s, so with lam = 1
+    # u = (s + e, 1 - s + e)
     inst = build_instance([0.5, 0.5], [0, 1], [[0.0], [0.0]], [[1.0], [1.0]])
     kappa = 2.0
     system = build_perturbed_system(inst, 1e-4 / (2 * kappa + 2))
-    cols = [_uhat_of(system, i) for i in range(2)]
+    e = system.eps_internal
+    assert system.dim == 2
     y = feasible_start(system)
-    y[cols] = [0.5, 0.5]          # lam = 1, so u = uhat
-    assert np.allclose(system.expand(y)["u"], [0.5, 0.5])
+    y[:] = 0.25, 0.0
+    u = np.array([0.25 + e, 0.75 + e])
+    assert np.allclose(system.expand(y)["u"], u, rtol=0, atol=1e-15)
     f, g = first_order_oracle(system, y)
-    assert f == -float(np.dot(inst.budgets, np.log([0.5, 0.5])))
-    assert np.allclose(g[cols], [-1.0, -1.0])
-    assert np.all(np.delete(g, cols) == 0.0)
-    # at the lower bound u_i = B_i the component is exactly -1
-    y[cols] = inst.budgets
+    assert f == pytest.approx(-float(np.dot(inst.budgets, np.log(u))), rel=1e-15)
+    # d f / d s = -B_0 / u_0 + B_1 / u_1, and t does not enter u
+    assert np.allclose(g, [-0.5 / u[0] + 0.5 / u[1], 0.0])
+    assert g[1] == 0.0
+    # at the lower bound u_0 = B_0 buyer 0's component -B_0 / u_0 is -1
+    y[0] = inst.budgets[0] - e
     _, g = first_order_oracle(system, y)
-    assert np.allclose(g[cols], [-1.0, -1.0])
+    assert np.allclose(g, [-1.0 + 0.5 / (0.5 + 2 * e), 0.0])
 
 
 def test_first_order_oracle_finite_differences(random_instance):
-    # two segments, so every u_i sums lam-weighted uhat over both
+    # two segments, so every u_i sums lam-weighted chain bounds over both
     inst = random_instance(3, 2, seed=11)
     kappa = 1.0 / inst.budgets.min()
     system = build_perturbed_system(inst, 1e-4 / (2 * kappa + 3))
     rng = np.random.default_rng(3)
-    y = feasible_start(system)
-    y[:system.num_slots] = rng.uniform(0.2, 0.9, system.num_slots)
-    f, g = first_order_oracle(system, y)
-    assert f == -float(np.dot(inst.budgets, np.log(system.u_map @ y)))
-    # chain rule: d f / d uhat_kj = lam_ik * (-B_i / u_i), zero on (s, t)
+    y = feasible_start(system) + rng.uniform(-0.02, 0.02, system.dim)
     u = system.expand(y)["u"]
+    assert np.all(u > 0.05)
+    f, g = first_order_oracle(system, y)
+    assert f == -float(np.dot(inst.budgets, np.log(system.u_map @ y + system.u_const)))
+    # chain rule: d f / d y = sum over slots of lam_ik (-B_i / u_i) times
+    # the gradient of the slot's chain bound
     chain = np.zeros(system.dim)
     for p, (k, _, i) in enumerate(system.slots):
-        chain[p] = system.segments[k].lam[i] * (-inst.budgets[i] / u[i])
-    assert np.allclose(g, chain, rtol=1e-12, atol=0.0)
+        chain += (system.segments[k].lam[i] * (-inst.budgets[i] / u[i])
+                  * system.chain_map[p])
+    assert np.allclose(g, chain, rtol=1e-12, atol=1e-15)
     h = 1e-6
     for idx in range(system.dim):
         yp = y.copy(); yp[idx] += h
@@ -184,6 +198,61 @@ def test_single_buyer_single_segment_immediate():
     res = ellipsoid_solve(inst, 1e-3)
     assert res.u[0] >= 1.0 - 1e-3
     assert res.certified
+
+
+@pytest.mark.parametrize("n,k", [(2, 2), (2, 3), (3, 2), (3, 3), (4, 4)])
+def test_dimension_is_two_per_adjacent_pair(n, k):
+    # the crosscheck shapes: every buyer is active on every segment, so
+    # there are k (n - 1) adjacent pairs and y = (s, t) has two coordinates
+    # for each
+    inst = sample_instance(n, k, seed=4242)
+    system = build_perturbed_system(inst, 1e-6)
+    assert all(seg.num_active == n for seg in system.segments)
+    assert len(system.pairs) == k * (n - 1)
+    assert system.dim == 2 * len(system.pairs)
+    assert system.A.shape[1] == system.u_map.shape[1] == system.dim
+
+
+def test_disjoint_segments_need_no_calls():
+    # each buyer values one segment only: no segment has two active buyers,
+    # so there is nothing to optimize and each segment goes to its buyer
+    inst = build_instance([0.3, 0.7], [0, 0.5, 1], [[0, 0], [0, 0]], [[1, 0], [0, 1]])
+    eps = 1e-4
+    res = ellipsoid_solve(inst, eps)
+    assert res.dim == 0 and res.calls == 0 and res.call_budget == 0
+    assert res.certified and res.gap <= eps
+    assert [[iv.as_pair() for iv in ivs] for ivs in res.allocation.intervals] == [
+        [(0.0, 0.5)], [(0.5, 1.0)]]
+    assert np.allclose(res.u, 1.0)
+    assert np.abs(res.beta - solve(inst).beta).max() <= 1e-12
+
+
+def test_merged_twins_need_no_calls():
+    # two identical buyers on one segment merge into one buyer: no
+    # coordinates, and each twin gets the share of the segment its budget buys
+    inst = build_instance([0.3, 0.7], [0, 1], [[0.4], [0.4]], [[0.8], [0.8]])
+    eps = 1e-4
+    res = ellipsoid_solve(inst, eps)
+    assert res.dim == 0 and res.calls == 0
+    assert res.certified and res.gap <= eps
+    assert np.allclose(res.u, inst.budgets, rtol=0, atol=1e-12)
+    assert res.beta[0] == res.beta[1] == pytest.approx(1.0)
+    assert check_equilibrium(inst, res.allocation, res.beta, tol=10 * eps).passed
+
+
+def test_identical_buyers_certify():
+    # buyer 1 copies buyer 0: before twins were merged, 34 of these 40
+    # markets raised NumericalBreakdown (the shape matrix lost positive
+    # definiteness) and one more was uncertified
+    for s in range(1000, 1040):
+        inst = load_instance(twins_document(s))
+        res = ellipsoid_solve(inst, 1e-4)
+        assert res.certified and res.gap <= res.eps, s
+        assert res.beta[0] == res.beta[1], s
+        assert np.abs(res.beta - solve(inst).beta).max() <= 5e-3, s
+        for k in range(inst.num_segments):
+            seg = normalize_segment(inst, k)
+            assert membership(seg, res.useg[seg.active, k]), (s, k)
 
 
 def test_example5_matches_dual(example5):
@@ -244,11 +313,9 @@ def test_objective_bounded_at_feasible_points(example5):
     assert first_order_oracle(system, y)[0] <= bound
     inside = 0
     for _ in range(20):
-        z = y.copy()
-        # shrink every utility by its own factor: the chain stays satisfied
-        # and u_i stays at least 2 eps_internal / n above zero
-        z[:system.num_slots] *= rng.uniform(2.0 * system.eps_internal, 1.0,
-                                            system.num_slots)
+        # part of the way to a random point of the (s, t) box: inside, every
+        # chain bound is nonnegative and u_i is at least eps_internal
+        z = y + rng.uniform(0.0, 1.0) * (rng.uniform(0.0, 1.0, system.dim) - y)
         if separation_oracle(system, z) is None:
             inside += 1
             assert first_order_oracle(system, z)[0] <= bound
@@ -310,12 +377,11 @@ def test_pruning_keeps_real_winning_slivers(random_instance):
 
 
 def _tight_target(system, rng):
-    """A point with every chain row tight at random cuts on the parabola.
+    """A point with random cuts on the parabola.
 
     The cuts of a segment are sorted, about half the middle buyers' intervals
     are collapsed (non-winners), and then every cut is jittered by about
-    sqrt(eps_internal), so that neighbouring intervals may overlap by what
-    the chain's enlargement allows.
+    sqrt(eps_internal), so that neighbouring cuts may come out of order.
     """
     e = system.eps_internal
     y = np.zeros(system.dim)
@@ -329,16 +395,6 @@ def _tight_target(system, rng):
         for j, s in enumerate(cuts):
             s_idx, t_idx = _st_of(system, k, j)
             y[s_idx], y[t_idx] = s, s * s
-    full = system.expand(y)
-    for p, (k, j) in enumerate(system.pairs):
-        # buyer j's interval value ends at z_j, buyer j + 1's starts at -w_j
-        y[_uhat_at(system, k, j)] += full["z"][p]
-        y[_uhat_at(system, k, j + 1)] += full["w"][p]
-    for k, seg in enumerate(system.segments):
-        if seg.num_active:
-            y[_uhat_at(system, k, seg.num_active - 1)] += 1.0
-    S = system.num_slots
-    y[:S] = np.maximum(y[:S] + e, 0.0)
     return y
 
 
@@ -346,18 +402,16 @@ def _inside_points(system, rng, count):
     """Points separation_oracle reports inside the reduced region: the start,
     and on segments from it towards random targets, a random inside point and
     the point bisected to the region's boundary.  Half the targets are
-    uniform in the unit box with about half their utilities zeroed, half are
-    tight chains (_tight_target)."""
+    uniform in the unit box, half are cuts on the parabola
+    (_tight_target)."""
     y0 = feasible_start(system)
     assert separation_oracle(system, y0) is None
     points = [y0]
-    S = system.num_slots
     for r in range(count):
         if r % 2:
             target = _tight_target(system, rng)
         else:
             target = rng.uniform(0.0, 1.0, system.dim)
-            target[:S] *= rng.random(S) < 0.5
         lo, hi = 0.0, 1.0
         if separation_oracle(system, target) is None:
             lo = 1.0
@@ -374,9 +428,9 @@ def _inside_points(system, rng, count):
 
 @pytest.mark.parametrize("eps_internal", [1e-2, 1e-6])
 def test_discount_restores_exact_membership(eps_internal):
-    # inside the reduced region only the chain rows are enlarged, so one
-    # eps_internal off every uhat must give exactly feasible utilities on every
-    # segment, with no clipping
+    # inside the region every uhat is its chain bound enlarged by
+    # eps_internal, so one eps_internal off every uhat must give exactly
+    # feasible utilities on every segment, with no clipping
     rng = np.random.default_rng(20)
     checked = 0
     for trial in range(16):
@@ -386,9 +440,10 @@ def test_discount_restores_exact_membership(eps_internal):
         for y in _inside_points(system, rng, 12):
             full = system.expand(y)
             # the links, to roundoff
+            uhat = system.chain(y) + system.eps_internal
             for p, (kk, j, i) in enumerate(system.slots):
                 lam = system.segments[kk].lam[i]
-                assert full["useg"][i, kk] == pytest.approx(lam * y[p], abs=1e-15)
+                assert full["useg"][i, kk] == pytest.approx(lam * uhat[p], abs=1e-15)
             assert np.allclose(full["u"], full["useg"].sum(axis=1), rtol=0, atol=1e-14)
             for p, (kk, j) in enumerate(system.pairs):
                 zw = system.segments[kk].G(j) @ [full["s"][p], full["t"][p]]

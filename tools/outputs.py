@@ -35,9 +35,9 @@ every record and field that differs or exists on one side only, with the
 field's largest absolute difference; then, for every field that differs
 anywhere, the number of records it differs in and its largest absolute
 difference over them; then, for each workload, the sum of the solve
-records' ``iterations`` (exact evaluations) on each side and the number of
-solve records whose ``iterations`` changed, over the records present on both
-sides; then every record in which a boolean verdict (``certified``,
+records' ``iterations`` (exact evaluations) and of the ellipsoid records'
+``calls`` (oracle calls) on each side and the number of records whose count
+changed, over the records present on both sides; then every record in which a boolean verdict (``certified``,
 ``kkt.pass``, ``fairness.pass``, ``fairness.ceei``) changed, and the number
 of such verdict flips.  It exits 1 when anything differs, so
 status 0 means bit-identical.  Run each side from its own checkout with one
@@ -63,6 +63,7 @@ from pathlib import Path  # noqa: E402
 import numpy as np  # noqa: E402
 
 WORKLOADS = ("grid", "crowded", "crosscheck")
+COUNTS = {"solve": "iterations", "ellipsoid": "calls"}   # work summed per workload
 
 
 def _sha(value):
@@ -215,7 +216,7 @@ def compare(path_a, path_b):
     same, differ = Counter(), 0
     fields = {}                       # (kind, field) -> [records, largest diff]
     flips = []                        # (kind, key, changed verdicts)
-    evals = {}                        # workload -> [sum A, sum B, records changed]
+    counts = {}                       # (workload, kind) -> [sum A, sum B, changed]
     for kind, key in sorted(a.keys() | b.keys()):
         if (kind, key) not in a or (kind, key) not in b:
             side = path_b if (kind, key) in b else path_a
@@ -223,11 +224,12 @@ def compare(path_a, path_b):
             differ += 1
             continue
         fa, fb = a[kind, key], b[kind, key]
-        if kind == "solve":
-            slot = evals.setdefault(key.split("/")[0], [0, 0, 0])
-            slot[0] += fa["iterations"]
-            slot[1] += fb["iterations"]
-            slot[2] += fa["iterations"] != fb["iterations"]
+        if kind in COUNTS:
+            name = COUNTS[kind]
+            slot = counts.setdefault((key.split("/")[0], kind), [0, 0, 0])
+            slot[0] += fa[name]
+            slot[1] += fb[name]
+            slot[2] += fa[name] != fb[name]
         bad = {name: _max_diff(fa.get(name), fb.get(name))
                for name in sorted(fa.keys() | fb.keys())
                if json.dumps(fa.get(name)) != json.dumps(fb.get(name))}
@@ -250,8 +252,8 @@ def compare(path_a, path_b):
     print("identical:", ", ".join(f"{n} {kind}" for kind, n in sorted(same.items())))
     for (kind, name), (records, d) in sorted(fields.items()):
         print(f"{kind} {name}: differs in {records} records, {_describe(d)}")
-    for workload, (sum_a, sum_b, changed) in sorted(evals.items()):
-        print(f"{workload} solve iterations: {sum_a} -> {sum_b}, "
+    for (workload, kind), (sum_a, sum_b, changed) in sorted(counts.items()):
+        print(f"{workload} {kind} {COUNTS[kind]}: {sum_a} -> {sum_b}, "
               f"changed in {changed} records")
     for kind, key, changed in flips:
         print(f"verdict flip {kind} {key}: " + ", ".join(changed))
