@@ -441,7 +441,7 @@ def _free_newton_step(H, g, beta, lo, hi):
     step = np.zeros_like(beta)
     if free.any():
         Hf = H if free.all() else H[np.ix_(free, free)]
-        Hf[np.diag_indices_from(Hf)] += 1e-14
+        Hf.flat[::Hf.shape[0] + 1] += 1e-14
         try:
             step[free] = np.linalg.solve(Hf, -g[free])
         except np.linalg.LinAlgError:
@@ -580,7 +580,7 @@ def solve(instance: MarketInstance, config: SolveConfig = None) -> EquilibriumRe
                 curvature = _smoothed_dual(market, cells, beta, curvature_mu)[2]
             H += curvature
         else:
-            H[np.diag_indices_from(H)] += B / beta ** 2
+            H.flat[::beta.size + 1] += B / beta ** 2
         step = _free_newton_step(H, g, beta, lo, hi)
         before = best
         alpha = min(1.0, 2.0 * alpha)   # damped steps recur: twice the last one

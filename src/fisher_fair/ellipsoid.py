@@ -16,9 +16,13 @@ returns them all.  The objective increases in every uhat, so at the
 optimum of the program with free uhat every enlarged chain row is tight:
 setting uhat to its bound loses nothing, and the chain rows, uhat >= 0 (the
 boxes and the order rows imply it) and u <= 1 (the boxes imply
-u <= 1 + e) go with the free coordinates.  The rows left are
+u <= 1 + e) go with the free coordinates.  The rows u_i >= min(B_i, e / 2)
+are left out too, as they never bind: u_i = sum_k lam_ik chain_ik + e, a
+buyer's lam summing to 1, and every chain bound but a lone buyer's 1 is
+minus the residual of a row (z_0 >= 0, an order row or w >= -1), while
+one of s >= 0 and s <= 1 has a residual of at least -1/2; so a u row's
+residual is at least e / 2 below the largest residual of the rows left:
 
-* u_i >= min(B_i, eps_internal / 2);
 * the order rows z_j + w_(j-1) >= 0 for the middle buyers (a buyer's
   interval has nonnegative value, so the cuts stay in order);
 * the boxes 0 <= z <= 1, -1 <= w <= 0, 0 <= s <= 1 and 0 <= t <= 1;
@@ -174,8 +178,7 @@ def build_perturbed_system(instance: MarketInstance,
     u_const = np.bincount(owner, weights=lam * (chain_const + e), minlength=n)
     return PerturbedSystem(
         instance=instance, eps_internal=e,
-        A=np.vstack([-u_map, np.array(rows).reshape(len(rows), dim)]),
-        b=np.concatenate([u_const - np.minimum(instance.budgets, e / 2.0), rhs]),
+        A=np.array(rows).reshape(len(rows), dim), b=np.array(rhs),
         segments=segments, dim=dim, slots=slots, pairs=pairs,
         chain_map=chain_map, chain_const=chain_const, u_map=u_map,
         u_const=u_const, G_rows=G_rows, s_block=slice(0, P),
@@ -206,31 +209,33 @@ def separation_oracle(system: PerturbedSystem, y):
     returns the tangent-line normal, +2 s0 on the s coordinate and -1 on the
     t coordinate, and the violation s0^2 - t0 of the tangent 2 s0 s - t <= s0^2.
     """
-    res = system.A @ y
-    res -= system.b
-    worst = int(res.argmax())
-    if res[worst] > 0.0:
-        return system.A[worst], "linear", float(res[worst])
     if not system.pairs:
         return None
+    res = system.A.dot(y)
+    res -= system.b
+    worst = int(res.argmax())
+    depth = res.item(worst)
+    if depth > 0.0:
+        return system.A[worst], "linear", depth
     s, t = y[system.s_block], y[system.t_block]
     viol = s * s > t
     p = int(viol.argmax())
-    if not viol[p]:
+    if not viol.item(p):
         return None
+    s0 = s.item(p)
     g = np.zeros(system.dim)
-    g[system.s_block.start + p] = 2.0 * s[p]
+    g[system.s_block.start + p] = 2.0 * s0
     g[system.t_block.start + p] = -1.0
-    return g, "quadratic", float(s[p] * s[p] - t[p])
+    return g, "quadratic", s0 * s0 - t.item(p)
 
 
 def first_order_oracle(system: PerturbedSystem, y):
     """(f(y), E_u' (-B / u)): the value and gradient of -sum_i B_i log u_i
     in y, from one u = E_u y + u_0, E_u = ``u_map`` and u_0 = ``u_const``."""
     B = system.instance.budgets
-    u = system.u_map @ y
+    u = system.u_map.dot(y)
     u += system.u_const
-    return float(-np.dot(B, np.log(u))), (-B / u) @ system.u_map
+    return float(-np.dot(B, np.log(u))), (-B / u).dot(system.u_map)
 
 
 @dataclass(kw_only=True)
@@ -390,6 +395,11 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
     prefixes = [(W[:r], Wg[:r]) for r in range(_FOLD)]   # views for each rank
     Qg = np.empty(d)
     step = np.empty(d)
+    # per call, numpy's overhead outweighs the arithmetic on matrices this
+    # small: ``.dot`` reaches matmul's BLAS kernels (the same bits) for
+    # about half its call cost, and a ufunc takes a 0-d array operand, here
+    # each step's two factors of Qg, for less than a Python float
+    move, shrink = np.empty(()), np.empty(())
     rank = 0
     scale = radius * radius
     while iteration < budget:
@@ -407,11 +417,11 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
             depth = fval - best_objective
         else:
             g, kind, depth = sep
-        np.matmul(Q, g, out=Qg)
+        Q.dot(g, out=Qg)
         if rank:
             Wr, Wrg = prefixes[rank]
-            Qg -= np.matmul(np.matmul(Wr, g, out=Wrg), Wr, out=step)
-        gQg = float(g @ Qg)
+            Qg -= Wr.dot(g, out=Wrg).dot(Wr, out=step)
+        gQg = float(g.dot(Qg))
         if not (math.isfinite(gQg) and gQg > 0.0):
             if restarted:
                 raise NumericalBreakdown("shape matrix lost positive definiteness")
@@ -430,12 +440,13 @@ def ellipsoid_solve(instance: MarketInstance, eps: float,
                 break
         alpha = min(depth / denom, _MAX_DEPTH)
         tau = 2.0 * (1.0 + d * alpha) / ((d + 1) * (1.0 + alpha))
-        c -= np.multiply(Qg, ((1.0 + d * alpha) / (d + 1)) * math.sqrt(scale / gQg),
-                         out=step)
-        np.multiply(Qg, math.sqrt(tau / gQg), out=W[rank])
+        move[()] = ((1.0 + d * alpha) / (d + 1)) * math.sqrt(scale / gQg)
+        c -= np.multiply(Qg, move, out=step)
+        shrink[()] = math.sqrt(tau / gQg)
+        np.multiply(Qg, shrink, out=W[rank])
         rank += 1
         if rank == _FOLD:
-            Q -= W.T @ W
+            Q -= W.T.dot(W)
             rank = 0
         grow = d * d * (1.0 - alpha * alpha) / (d * d - 1.0)
         scale *= grow

@@ -131,6 +131,9 @@ def sda_run(instance: MarketInstance, iters: int, seed: int,
     skip_lo = skip_up = 0.0
     up_at = 0
     scores = np.empty(n)
+    # the step count as a float operand: a ufunc takes a 0-d array for less
+    # than a Python int, and ratio * s is the same product either way
+    step = np.empty(())
     inf = math.inf
     beta_sum = np.zeros(n)
     # row j scores the block's sample j; row m is the iterate after the block
@@ -165,7 +168,8 @@ def sda_run(instance: MarketInstance, iters: int, seed: int,
                     up_at = int(q_up.argmin())
                     skip_up = q_up.item(up_at) * (1.0 - 1e-9)
                 s += 1
-                np.multiply(ratio, s, out=row)
+                step[()] = s
+                np.multiply(ratio, step, out=row)
                 if s >= skip_up:
                     np.minimum(row, upper, out=row)
                 if s <= skip_lo:

@@ -38,8 +38,8 @@ def _st_of(system, k, j):
 def test_separation_tangent_normal(example5):
     # build a point whose only violation is the parabola pair (0.5, 0.1):
     # every other (s, t) at zero puts every chain bound but the last two at
-    # zero (u_i = uhat_i = eps_internal here, above its lower bound) and
-    # keeps every linear row satisfied
+    # zero (u_i = uhat_i = eps_internal here) and keeps every linear row
+    # satisfied
     system = small_system(example5)
     y = np.zeros(system.dim)
     # last adjacent pair: its w only feeds the slack-rich final chain bound
@@ -70,8 +70,7 @@ def test_separation_linear_row(example5):
     system = small_system(example5)
     y = feasible_start(system)
     # buyer 0 is second in order: its order row z_1 + w_0 >= 0 has
-    # coefficients -chain_map[slot] (as has its row u_0 >= lb, lam being 1,
-    # with a bound eps_internal / 2 looser)
+    # coefficients -chain_map[slot]
     slot = _slot_of(system, 0)
     assert system.slots[slot][1] == 1
     row = next(r for r in range(system.A.shape[0])
@@ -115,6 +114,25 @@ def test_separation_linear_depth_is_row_residual(random_instance):
         assert np.array_equal(g, system.A[row])
         seen += 1
     assert seen > 0
+
+
+def test_dropped_utility_rows_never_bind(random_instance):
+    # the rows u_i >= min(B_i, e / 2) are not in A: at any y each one's
+    # residual is at least e / 2 below the largest residual of A's rows,
+    # because u_i = sum_k lam_ik chain_ik + e with lam_i summing to 1, and
+    # every chain bound below 1 is minus some row's residual
+    rng = np.random.default_rng(31)
+    e = 1e-3
+    for n, k in [(2, 2), (3, 2), (3, 3), (4, 4), (5, 3)]:
+        inst = random_instance(n, k, seed=n * 10 + k)
+        system = build_perturbed_system(inst, e)
+        y0 = feasible_start(system)
+        for scale in (0.01, 0.3, 2.0):
+            for _ in range(20):
+                y = y0 + rng.normal(0.0, scale, system.dim)
+                top = (system.A @ y - system.b).max()
+                u_res = np.minimum(inst.budgets, e / 2) - system.expand(y)["u"]
+                assert np.all(u_res <= top - e / 2 + 1e-12), (n, k)
 
 
 def test_separation_parabola_depth_first_violated_pair(random_instance):

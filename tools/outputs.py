@@ -25,8 +25,13 @@ its last average; and on crosscheck documents
 ``ellipsoid``: ``ellipsoid_solve(inst, 1e-4, collect_log=True)``, log
 included, and ``oracle``: beta, u, rounds and cells of
 ``discretized_oracle`` at the benchmark's cell count, or its ``NotConverged``
-message.  Every solve, sda and ellipsoid record carries the ``to_json()`` of
-``check_equilibrium`` and ``fairness`` on its allocation.  Floats are stored by their shortest
+message.  Once per recording it also records ``ellipsoid_solve(inst, 1e-4)``,
+log left out, on the 30 instances of acceptance criterion 3
+(``sample_instance(n, k, seed)`` for seeds 300-329, n and k cycling through
+2..5), as ``ellipsoid`` records keyed ``acceptance3/<seed>``: they reach 40
+coordinates, where the crosscheck shapes stop at 24.  Every solve, sda and
+ellipsoid record carries the ``to_json()`` of ``check_equilibrium`` and
+``fairness`` on its allocation.  Floats are stored by their shortest
 round-trip repr, so two recordings agree field for field exactly when the
 outputs are bit-identical.
 
@@ -36,10 +41,11 @@ field's largest absolute difference; then, for every field that differs
 anywhere, the number of records it differs in and its largest absolute
 difference over them; then, for each workload, the sum of the solve
 records' ``iterations`` (exact evaluations) and of the ellipsoid records'
-``calls`` (oracle calls) on each side and the number of records whose count
-changed, over the records present on both sides; then every record in which a boolean verdict (``certified``,
-``kkt.pass``, ``fairness.pass``, ``fairness.ceei``) changed, and the number
-of such verdict flips.  It exits 1 when anything differs, so
+``calls`` (oracle calls; ``acceptance3`` counts as a workload of its own) on
+each side and the number of records whose count changed, over the records
+present on both sides; then every record in which a boolean verdict
+(``certified``, ``kkt.pass``, ``fairness.pass``, ``fairness.ceei``) changed,
+and the number of such verdict flips.  It exits 1 when anything differs, so
 status 0 means bit-identical.  Run each side from its own checkout with one
 BLAS thread (the script sets ``OPENBLAS_NUM_THREADS=1`` before importing
 numpy).
@@ -54,6 +60,7 @@ import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
+import itertools  # noqa: E402
 import json  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
@@ -154,24 +161,33 @@ def _records(lib, wl, workload, seed, tmp):
             yield "oracle", key, fields
 
 
+def _acceptance3_records(lib, wl):
+    shapes = [(n, k) for n in (2, 3, 4, 5) for k in (2, 3, 4, 5)]
+    for trial in range(30):
+        seed = 300 + trial
+        inst = lib.sampling.sample_instance(*shapes[trial % len(shapes)], seed=seed)
+        res = lib.ellipsoid.ellipsoid_solve(inst, 1e-4)
+        yield "ellipsoid", f"acceptance3/{seed}", _checked(lib, wl, inst, res)
+
+
 def record(root, out_path, seeds):
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import workloads as wl
     from fisher_fair import (cli, dual_solver, ellipsoid, envelope, errors, feasible,
-                             market, sda, verification)
+                             market, sampling, sda, verification)
     lib = argparse.Namespace(cli=cli, dual_solver=dual_solver, ellipsoid=ellipsoid,
                              envelope=envelope, errors=errors, feasible=feasible,
-                             market=market, sda=sda, verification=verification)
+                             market=market, sampling=sampling, sda=sda,
+                             verification=verification)
     counts = Counter()
     with open(out_path, "w", encoding="utf-8") as fh, \
             tempfile.TemporaryDirectory() as tmp:
-        for seed in seeds:
-            for workload in WORKLOADS:
-                for kind, key, fields in _records(lib, wl, workload, seed, tmp):
-                    fh.write(json.dumps({"kind": kind, "key": key,
-                                         "fields": fields}) + "\n")
-                    counts[kind] += 1
+        streams = [_records(lib, wl, workload, seed, tmp)
+                   for seed in seeds for workload in WORKLOADS]
+        for kind, key, fields in itertools.chain(*streams, _acceptance3_records(lib, wl)):
+            fh.write(json.dumps({"kind": kind, "key": key, "fields": fields}) + "\n")
+            counts[kind] += 1
     print(", ".join(f"{n} {kind}" for kind, n in sorted(counts.items())),
           f"records written to {out_path}")
 
